@@ -37,6 +37,7 @@ fn cache_hot_path(c: &mut Criterion) {
 
 fn predictor_hot_path(c: &mut Criterion) {
     let mut p = CbwsPredictor::new(CbwsConfig::default());
+    let mut out = Vec::new();
     let mut iter = 0u64;
     c.bench_function("cbws/block_cycle", |b| {
         b.iter(|| {
@@ -45,7 +46,10 @@ fn predictor_hot_path(c: &mut Criterion) {
             for k in 0..7u64 {
                 p.observe(LineAddr(iter * 1024 + k * 3000));
             }
-            black_box(p.block_end(BlockId(0)))
+            // One reused buffer: time the kernel, not the allocator.
+            out.clear();
+            p.block_end(BlockId(0), &mut out);
+            black_box(out.len())
         })
     });
 }

@@ -199,9 +199,9 @@ impl Prefetcher for CbwsSmsPrefetcher {
 
     fn on_block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         self.in_block = false;
-        let pred = self.cbws.block_end(id);
-        self.stats.cbws_lines += pred.len() as u64;
-        out.extend(pred);
+        let before = out.len();
+        self.cbws.block_end(id, out);
+        self.stats.cbws_lines += (out.len() - before) as u64;
     }
 
     fn attach_telemetry(&mut self, telemetry: &cbws_telemetry::Telemetry) {

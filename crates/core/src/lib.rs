@@ -39,7 +39,8 @@
 //!     p.block_begin(BlockId(0));
 //!     p.observe(LineAddr(0x1000 + i * 16));
 //!     p.observe(LineAddr(0x8000 + i * 16));
-//!     predicted = p.block_end(BlockId(0));
+//!     predicted.clear();
+//!     p.block_end(BlockId(0), &mut predicted);
 //! }
 //! // In steady state the predictor prefetches the next iteration's
 //! // complete working set.
@@ -50,6 +51,8 @@
 pub mod analysis;
 mod hybrid;
 mod multi;
+#[cfg(test)]
+mod oracle;
 mod predictor;
 mod vector;
 

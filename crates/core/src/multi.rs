@@ -180,7 +180,7 @@ impl Prefetcher for MultiCbwsPrefetcher {
     fn on_block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         if let Some(i) = self.active.take() {
             if self.contexts[i].block == id {
-                out.extend(self.contexts[i].predictor.block_end(id));
+                self.contexts[i].predictor.block_end(id, out);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The CBWS prediction hardware (paper §IV-C, §V, Algorithm 1, Fig. 8-11).
 
-use crate::vector::{CbwsVec, Differential};
+use crate::vector::{self, CbwsVec, Differential};
 use cbws_describe::{ComponentDescription, ComponentKind, Describe, MetricSpec, ParamSpec};
 use cbws_prefetchers::{PrefetchContext, Prefetcher};
 use cbws_telemetry::{SimEvent, Telemetry};
@@ -181,14 +181,16 @@ impl HistoryShiftRegister {
 /// simulations are reproducible.
 #[derive(Debug, Clone)]
 struct DiffHistoryTable {
-    entries: Vec<Option<(u16, Differential)>>,
+    /// `(tag, differential)` slots; a `None` tag marks a free slot. Inserts
+    /// overwrite a slot's differential in place, reusing its allocation.
+    slots: Vec<(Option<u16>, Differential)>,
     rng: u32,
 }
 
 impl DiffHistoryTable {
     fn new(entries: usize) -> Self {
         DiffHistoryTable {
-            entries: vec![None; entries],
+            slots: vec![(None, Differential::default()); entries],
             rng: 0x2545_F491,
         }
     }
@@ -203,28 +205,32 @@ impl DiffHistoryTable {
     }
 
     fn lookup(&self, tag: u16) -> Option<&Differential> {
-        self.entries
+        self.slots
             .iter()
-            .flatten()
-            .find(|(t, _)| *t == tag)
+            .find(|(t, _)| *t == Some(tag))
             .map(|(_, d)| d)
     }
 
-    fn insert(&mut self, tag: u16, diff: Differential) {
-        if let Some(slot) = self.entries.iter_mut().flatten().find(|(t, _)| *t == tag) {
-            slot.1 = diff;
-            return;
-        }
-        if let Some(free) = self.entries.iter_mut().find(|e| e.is_none()) {
-            *free = Some((tag, diff));
-            return;
-        }
-        let victim = self.next_random() as usize % self.entries.len();
-        self.entries[victim] = Some((tag, diff));
+    /// Stores the differential with full-width `strides` under `tag`: in
+    /// the slot already holding `tag`, else a free slot, else a random
+    /// victim.
+    fn insert(&mut self, tag: u16, strides: &[i64]) {
+        let slot = match self
+            .slots
+            .iter()
+            .position(|(t, _)| *t == Some(tag))
+            .or_else(|| self.slots.iter().position(|(t, _)| t.is_none()))
+        {
+            Some(slot) => slot,
+            None => self.next_random() as usize % self.slots.len(),
+        };
+        let (t, diff) = &mut self.slots[slot];
+        *t = Some(tag);
+        diff.set_strides(strides.iter().copied());
     }
 
     fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.slots.iter().filter(|(t, _)| t.is_some()).count()
     }
 }
 
@@ -258,8 +264,11 @@ pub struct CbwsPredictor {
     /// Incrementally-built strides against each predecessor CBWS
     /// (`curr_diff[i]` in Algorithm 1; index 0 = 1-step).
     curr_diffs: Vec<Vec<i64>>,
-    /// Predecessor CBWSs, most recent first (`last_cbws`).
+    /// Predecessor CBWS buffers, most recent first (`last_cbws`). All
+    /// `max_step` buffers always exist; only the first `predecessors` hold
+    /// CBWSs of the current block.
     last: VecDeque<CbwsVec>,
+    predecessors: usize,
     /// One history shift register per step distance.
     histories: Vec<HistoryShiftRegister>,
     table: DiffHistoryTable,
@@ -289,7 +298,10 @@ impl CbwsPredictor {
         CbwsPredictor {
             curr: CbwsVec::new(cfg.max_vector),
             curr_diffs: vec![Vec::new(); cfg.max_step],
-            last: VecDeque::with_capacity(cfg.max_step),
+            last: (0..cfg.max_step)
+                .map(|_| CbwsVec::new(cfg.max_vector))
+                .collect(),
+            predecessors: 0,
             histories: (0..cfg.max_step)
                 .map(|_| HistoryShiftRegister::new(cfg.history_depth))
                 .collect(),
@@ -357,7 +369,7 @@ impl CbwsPredictor {
                 self.stats.block_switches += 1;
             }
             self.current_block = Some(id);
-            self.last.clear();
+            self.predecessors = 0;
             for h in &mut self.histories {
                 h.clear();
             }
@@ -382,25 +394,25 @@ impl CbwsPredictor {
             return;
         }
         let idx = self.curr.len() - 1;
-        for (step_idx, diffs) in self.curr_diffs.iter_mut().enumerate() {
-            if let Some(prev) = self.last.get(step_idx) {
-                if let Some(prev_line) = prev.get(idx) {
-                    // Differentials align to the shorter vector, so only
-                    // extend while still contiguous with the predecessor.
-                    if diffs.len() == idx {
-                        diffs.push(line.delta(prev_line));
-                    }
+        let predecessors = self.last.iter().take(self.predecessors);
+        for (diffs, prev) in self.curr_diffs.iter_mut().zip(predecessors) {
+            if let Some(prev_line) = prev.get(idx) {
+                // Differentials align to the shorter vector, so only
+                // extend while still contiguous with the predecessor.
+                if diffs.len() == idx {
+                    diffs.push(line.delta(prev_line));
                 }
             }
         }
     }
 
     /// `BLOCK_END(id)` (Fig. 11): trains the differential history table,
-    /// rotates the predecessor buffers, and returns the predicted working
-    /// sets of pending iterations.
-    pub fn block_end(&mut self, id: BlockId) -> Vec<LineAddr> {
+    /// rotates the predecessor buffers, and appends the predicted working
+    /// sets of pending iterations to `out`. A `BLOCK_END` for a block other
+    /// than the current one is ignored.
+    pub fn block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         if self.current_block != Some(id) {
-            return Vec::new();
+            return;
         }
         self.stats.blocks += 1;
         self.last_block_overflowed = self.curr.overflowed() > 0;
@@ -409,27 +421,27 @@ impl CbwsPredictor {
 
         // 1-2: store each step's new differential under the *previous*
         // history tag, then shift the history register.
-        for step in 0..self.cfg.max_step {
-            let diff = Differential::from_strides(self.curr_diffs[step].iter().copied());
-            if diff.is_empty() {
+        for (step, strides) in self.curr_diffs.iter().enumerate() {
+            if strides.is_empty() {
                 continue;
             }
-            if self.histories[step].is_warm() {
-                let tag = self.histories[step].tag(step);
-                self.table.insert(tag, diff.clone());
+            let history = &mut self.histories[step];
+            if history.is_warm() {
+                self.table.insert(history.tag(step), strides);
             }
-            self.histories[step].shift(diff.hash12());
+            // The 16-bit truncation `Differential` applies before hashing.
+            history.shift(vector::hash12(strides.iter().map(|&s| s as i16)));
         }
 
         // Rotate the last-CBWSs buffer: the completed CBWS becomes the most
-        // recent predecessor.
-        if self.last.len() == self.cfg.max_step {
-            self.last.pop_back();
-        }
-        self.last.push_front(self.curr.clone());
+        // recent predecessor, and the oldest buffer becomes the new current
+        // CBWS.
+        let oldest = self.last.pop_back().expect("max_step > 0 buffers");
+        let completed = std::mem::replace(&mut self.curr, oldest);
+        self.last.push_front(completed);
+        self.predecessors = (self.predecessors + 1).min(self.cfg.max_step);
 
         // 3-4: look up the updated histories and predict future CBWSs.
-        let mut out = Vec::new();
         let mut hit = false;
         let mut span: u64 = 0;
         let base = self.last.front().expect("just pushed");
@@ -463,7 +475,7 @@ impl CbwsPredictor {
                         .unwrap_or(0),
                 );
                 if !pred.is_zero() {
-                    out.extend(pred.apply(base));
+                    pred.apply(base, out);
                 }
             }
         }
@@ -481,7 +493,6 @@ impl CbwsPredictor {
         for d in &mut self.curr_diffs {
             d.clear();
         }
-        out
     }
 }
 
@@ -566,7 +577,7 @@ impl Prefetcher for CbwsPrefetcher {
 
     fn on_block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         self.in_block = false;
-        out.extend(self.predictor.block_end(id));
+        self.predictor.block_end(id, out);
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
@@ -595,7 +606,9 @@ mod tests {
             for &o in offsets {
                 p.observe(LineAddr(base + i * stride + o));
             }
-            preds.push(p.block_end(id));
+            let mut out = Vec::new();
+            p.block_end(id, &mut out);
+            preds.push(out);
         }
         preds
     }
@@ -649,7 +662,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 p.observe(LineAddr(x >> 40));
             }
-            let _ = p.block_end(BlockId(0));
+            p.block_end(BlockId(0), &mut Vec::new());
         }
         // Data-dependent working sets (the histo case, Fig. 16): hit rate
         // should be negligible.
@@ -670,7 +683,8 @@ mod tests {
         assert!(!p.is_confident());
         assert_eq!(p.stats().block_switches, 1);
         p.observe(LineAddr(5));
-        let pred = p.block_end(BlockId(1));
+        let mut pred = Vec::new();
+        p.block_end(BlockId(1), &mut pred);
         assert!(pred.is_empty());
     }
 
@@ -685,7 +699,7 @@ mod tests {
         for i in 0..10 {
             p.observe(LineAddr(i));
         }
-        let _ = p.block_end(BlockId(0));
+        p.block_end(BlockId(0), &mut Vec::new());
         assert_eq!(p.stats().vector_overflows, 6);
     }
 
@@ -694,7 +708,8 @@ mod tests {
         let mut p = CbwsPredictor::new(CbwsConfig::default());
         p.block_begin(BlockId(0));
         p.observe(LineAddr(1));
-        let out = p.block_end(BlockId(9));
+        let mut out = Vec::new();
+        p.block_end(BlockId(9), &mut out);
         assert!(out.is_empty());
         assert_eq!(p.stats().blocks, 0);
     }

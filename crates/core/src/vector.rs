@@ -141,18 +141,22 @@ impl Differential {
     /// Builds a differential from full-width strides, truncating each to
     /// 16 bits as the hardware registers do.
     pub fn from_strides<I: IntoIterator<Item = i64>>(strides: I) -> Self {
+        let mut d = Differential::default();
+        d.set_strides(strides);
+        d
+    }
+
+    /// Overwrites this differential with `strides`, truncated as in
+    /// [`Differential::from_strides`], reusing its allocation.
+    pub(crate) fn set_strides<I: IntoIterator<Item = i64>>(&mut self, strides: I) {
         let mut truncated = false;
-        let strides = strides
-            .into_iter()
-            .map(|s| {
-                let t = s as i16;
-                if i64::from(t) != s {
-                    truncated = true;
-                }
-                t
-            })
-            .collect();
-        Differential { strides, truncated }
+        self.strides.clear();
+        self.strides.extend(strides.into_iter().map(|s| {
+            let t = s as i16;
+            truncated |= i64::from(t) != s;
+            t
+        }));
+        self.truncated = truncated;
     }
 
     /// Number of stride elements.
@@ -179,24 +183,19 @@ impl Differential {
     /// (§V-A: "differentials are represented using 12 bits extracted from
     /// the original differential").
     pub fn hash12(&self) -> u16 {
-        let mut h: u32 = 0x9E5;
-        for (i, &s) in self.strides.iter().enumerate() {
-            let v = s as u16 as u32;
-            h ^= v.rotate_left((i as u32 * 5) % 16);
-            h = h.wrapping_mul(0x85);
-        }
-        (h ^ (h >> 12)) as u16 & 0xFFF
+        hash12(self.strides.iter().copied())
     }
 
     /// Predicts a future working set by element-wise vector addition onto
-    /// `base` (Fig. 11 step 4). The result is aligned to the shorter of the
-    /// two vectors.
-    pub fn apply(&self, base: &CbwsVec) -> Vec<LineAddr> {
-        self.strides
-            .iter()
-            .zip(base.iter())
-            .map(|(&s, &b)| b.offset(i64::from(s)))
-            .collect()
+    /// `base` (Fig. 11 step 4), appending it to `out`. The result is
+    /// aligned to the shorter of the two vectors.
+    pub fn apply(&self, base: &CbwsVec, out: &mut Vec<LineAddr>) {
+        out.extend(
+            self.strides
+                .iter()
+                .zip(base.iter())
+                .map(|(&s, &b)| b.offset(i64::from(s))),
+        );
     }
 
     /// Whether all strides are zero (the next iteration reuses the same
@@ -204,6 +203,18 @@ impl Differential {
     pub fn is_zero(&self) -> bool {
         self.strides.iter().all(|&s| s == 0)
     }
+}
+
+/// The 12-bit history hash of a differential given as its 16-bit strides
+/// ([`Differential::hash12`]).
+pub(crate) fn hash12(strides: impl Iterator<Item = i16>) -> u16 {
+    let mut h: u32 = 0x9E5;
+    for (i, s) in strides.enumerate() {
+        let v = s as u16 as u32;
+        h ^= v.rotate_left((i as u32 * 5) % 16);
+        h = h.wrapping_mul(0x85);
+    }
+    (h ^ (h >> 12)) as u16 & 0xFFF
 }
 
 impl fmt::Display for Differential {
@@ -283,7 +294,8 @@ mod tests {
         let c0 = ws(&[0x80, 0x81, 6515, 4467, 5499, 5483, 5491]);
         let c1 = ws(&[0x80, 0x81, 7539, 5491, 6523, 6507, 6515]);
         let d = c1.differential(&c0);
-        let predicted = d.apply(&c1);
+        let mut predicted = Vec::new();
+        d.apply(&c1, &mut predicted);
         // CBWS2 from Fig. 3.
         let expect: Vec<LineAddr> = [0x80u64, 0x81, 8563, 6515, 7547, 7531, 7539]
             .map(LineAddr)

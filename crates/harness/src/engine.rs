@@ -64,9 +64,9 @@ use std::time::{Duration, Instant};
 
 /// Number of workers the engine will use for `jobs = 0` (all cores).
 ///
-/// Unlike the deprecated chunked sweep, detection failure is *reported*
-/// (and falls back to serial execution) instead of silently pretending the
-/// machine has four cores.
+/// Unlike the chunked sweep this engine replaced, detection failure is
+/// *reported* (and falls back to serial execution) instead of silently
+/// pretending the machine has four cores.
 ///
 /// ```
 /// let workers = cbws_harness::engine::detect_parallelism();

@@ -9,14 +9,16 @@
 //! occurrence.
 //!
 //! Structural note: hardware GHBs are a single circular buffer with per-key
-//! link pointers; we model the equivalent observable behaviour with bounded
-//! per-key deques (chain truncation ≈ buffer wrap) and an LRU-bounded key
-//! index. Storage is accounted with Table III's formulas.
+//! link pointers; we model the equivalent observable behaviour per key with
+//! the most recent line plus a bounded window of the deltas between its
+//! recent lines (chain truncation ≈ buffer wrap), and an LRU-bounded key
+//! index. The window lives in a buffer twice its size, so it is always one
+//! contiguous slice that prediction scans in place without allocating.
+//! Storage is accounted with Table III's formulas.
 
 use crate::{PrefetchContext, Prefetcher};
 use cbws_describe::{ComponentDescription, ComponentKind, Describe, ParamSpec};
 use cbws_trace::{LineAddr, Pc};
-use std::collections::VecDeque;
 
 /// Localization mode of the GHB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,11 +66,67 @@ impl GhbConfig {
     }
 }
 
+/// One key's miss stream: its most recent line and the deltas between its
+/// last `per_key_cap` lines.
 #[derive(Debug, Clone)]
 struct Stream {
     key: u64,
-    lines: VecDeque<LineAddr>,
+    last: Option<LineAddr>,
+    /// The delta window, oldest first, is `buf[end - len..end]`. `buf` is
+    /// twice the window's capacity, so the window slides back to the front
+    /// only once per `capacity` pushes and is always one contiguous slice.
+    buf: Vec<i64>,
+    end: usize,
+    len: usize,
     lru: u64,
+}
+
+impl Stream {
+    fn new(key: u64, window: usize) -> Self {
+        Stream {
+            key,
+            last: None,
+            buf: vec![0; 2 * window],
+            end: 0,
+            len: 0,
+            lru: 0,
+        }
+    }
+
+    /// Reassigns this stream to `key` with an empty history, keeping its
+    /// buffer.
+    fn reset(&mut self, key: u64) {
+        self.key = key;
+        self.last = None;
+        self.end = 0;
+        self.len = 0;
+    }
+
+    /// The delta window, oldest first.
+    fn deltas(&self) -> &[i64] {
+        &self.buf[self.end - self.len..self.end]
+    }
+
+    /// Appends a miss to `line`, dropping the oldest delta once the window
+    /// is full.
+    fn push(&mut self, line: LineAddr) {
+        let Some(prev) = self.last.replace(line) else {
+            return;
+        };
+        let window = self.buf.len() / 2;
+        if window == 0 {
+            return;
+        }
+        if self.end == self.buf.len() {
+            let keep = self.len.min(window - 1);
+            self.buf.copy_within(self.end - keep..self.end, 0);
+            self.end = keep;
+            self.len = keep;
+        }
+        self.buf[self.end] = line.delta(prev);
+        self.end += 1;
+        self.len = (self.len + 1).min(window);
+    }
 }
 
 /// The GHB G/DC / PC/DC prefetcher.
@@ -118,31 +176,37 @@ impl GhbPrefetcher {
         }
     }
 
-    /// Delta-correlation prediction over one stream. `lines` is in
-    /// chronological order, most recent last.
-    fn predict(lines: &VecDeque<LineAddr>, history_len: usize, degree: usize) -> Vec<i64> {
-        let n = lines.len();
-        if n < history_len + 2 {
-            return Vec::new();
-        }
-        let deltas: Vec<i64> = (1..n).map(|i| lines[i].delta(lines[i - 1])).collect();
+    /// Delta-correlation prediction over one stream's delta window (oldest
+    /// first) whose most recent line is `line`: pushes `degree` candidates
+    /// into `out`.
+    fn predict(
+        deltas: &[i64],
+        line: LineAddr,
+        history_len: usize,
+        degree: usize,
+        out: &mut Vec<LineAddr>,
+    ) {
         let m = deltas.len();
         if m < history_len + 1 {
-            return Vec::new();
+            return;
         }
         let key = &deltas[m - history_len..];
-        // Most recent earlier occurrence of the key.
-        for start in (0..m - history_len).rev() {
-            if &deltas[start..start + history_len] == key {
-                // Replay the deltas that followed the occurrence; if fewer
-                // than `degree` exist, cycle through them (periodic-stream
-                // assumption).
-                let follow = &deltas[start + history_len..m];
-                debug_assert!(!follow.is_empty());
-                return (0..degree).map(|k| follow[k % follow.len()]).collect();
-            }
+        let newest = key[history_len - 1];
+        // Most recent earlier occurrence of the key; testing its newest
+        // delta first rejects most windows with one compare.
+        let Some(start) = deltas[..m - 1]
+            .windows(history_len)
+            .rposition(|w| w[history_len - 1] == newest && w == key)
+        else {
+            return;
+        };
+        // Replay the deltas that followed the occurrence; if fewer than
+        // `degree` exist, cycle through them (periodic-stream assumption).
+        let mut cursor = line;
+        for &d in deltas[start + history_len..].iter().cycle().take(degree) {
+            cursor = cursor.offset(d);
+            out.push(cursor);
         }
-        Vec::new()
     }
 }
 
@@ -235,44 +299,32 @@ impl Prefetcher for GhbPrefetcher {
         let key = self.key_of(ctx.pc);
         let line = ctx.addr.line();
 
-        let stream = match self.streams.iter_mut().find(|s| s.key == key) {
-            Some(s) => s,
+        let stream = match self.streams.iter().position(|s| s.key == key) {
+            Some(i) => &mut self.streams[i],
+            None if self.streams.len() >= self.key_cap => {
+                let victim = self
+                    .streams
+                    .iter_mut()
+                    .min_by_key(|s| s.lru)
+                    .expect("key_cap > 0");
+                victim.reset(key);
+                victim
+            }
             None => {
-                if self.streams.len() >= self.key_cap {
-                    let victim = self
-                        .streams
-                        .iter_mut()
-                        .min_by_key(|s| s.lru)
-                        .expect("key_cap > 0");
-                    victim.key = key;
-                    victim.lines.clear();
-                    victim.lru = stamp;
-                    self.streams
-                        .iter_mut()
-                        .find(|s| s.key == key)
-                        .expect("just assigned")
-                } else {
-                    self.streams.push(Stream {
-                        key,
-                        lines: VecDeque::with_capacity(self.per_key_cap),
-                        lru: stamp,
-                    });
-                    self.streams.last_mut().expect("just pushed")
-                }
+                // `per_key_cap` lines hold `per_key_cap - 1` deltas.
+                self.streams.push(Stream::new(key, self.per_key_cap - 1));
+                self.streams.last_mut().expect("just pushed")
             }
         };
         stream.lru = stamp;
-        if stream.lines.len() == self.per_key_cap {
-            stream.lines.pop_front();
-        }
-        stream.lines.push_back(line);
-
-        let deltas = Self::predict(&stream.lines, self.cfg.history_len, self.cfg.degree);
-        let mut cursor = line;
-        for d in deltas {
-            cursor = cursor.offset(d);
-            out.push(cursor);
-        }
+        stream.push(line);
+        Self::predict(
+            stream.deltas(),
+            line,
+            self.cfg.history_len,
+            self.cfg.degree,
+            out,
+        );
     }
 }
 
@@ -416,5 +468,190 @@ mod tests {
     fn names() {
         assert_eq!(GhbPrefetcher::new(GhbConfig::gdc()).name(), "GHB-G/DC");
         assert_eq!(GhbPrefetcher::new(GhbConfig::pcdc()).name(), "GHB-PC/DC");
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! A deliberately naive reference GHB — per-key line deques, with the
+    //! delta stream collected afresh and scanned on every training call —
+    //! checked call by call against the delta-window kernel.
+
+    use super::*;
+    use cbws_trace::Addr;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    struct ReferenceStream {
+        key: u64,
+        lines: VecDeque<LineAddr>,
+        lru: u64,
+    }
+
+    struct ReferenceGhb {
+        cfg: GhbConfig,
+        streams: Vec<ReferenceStream>,
+        per_key_cap: usize,
+        key_cap: usize,
+        stamp: u64,
+    }
+
+    impl ReferenceGhb {
+        fn new(cfg: GhbConfig) -> Self {
+            let (per_key_cap, key_cap) = match cfg.kind {
+                GhbKind::GlobalDeltaCorrelation => (cfg.entries, 1),
+                GhbKind::PcDeltaCorrelation => (32.min(cfg.entries), cfg.entries),
+            };
+            ReferenceGhb {
+                cfg,
+                streams: Vec::new(),
+                per_key_cap,
+                key_cap,
+                stamp: 0,
+            }
+        }
+
+        fn on_access(&mut self, ctx: &PrefetchContext) -> Vec<LineAddr> {
+            let trains = if self.cfg.train_on_hits {
+                ctx.reached_l2()
+            } else {
+                ctx.llc_miss()
+            };
+            if !trains {
+                return Vec::new();
+            }
+            self.stamp += 1;
+            let key = match self.cfg.kind {
+                GhbKind::GlobalDeltaCorrelation => 0,
+                GhbKind::PcDeltaCorrelation => ctx.pc.0,
+            };
+            let i = match self.streams.iter().position(|s| s.key == key) {
+                Some(i) => i,
+                None if self.streams.len() >= self.key_cap => {
+                    let (i, _) = self
+                        .streams
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, s)| s.lru)
+                        .expect("key_cap > 0");
+                    self.streams[i].key = key;
+                    self.streams[i].lines.clear();
+                    i
+                }
+                None => {
+                    self.streams.push(ReferenceStream {
+                        key,
+                        lines: VecDeque::new(),
+                        lru: 0,
+                    });
+                    self.streams.len() - 1
+                }
+            };
+            let stream = &mut self.streams[i];
+            stream.lru = self.stamp;
+            if stream.lines.len() == self.per_key_cap {
+                stream.lines.pop_front();
+            }
+            let line = ctx.addr.line();
+            stream.lines.push_back(line);
+
+            let lines = &stream.lines;
+            let deltas: Vec<i64> = (1..lines.len())
+                .map(|i| lines[i].delta(lines[i - 1]))
+                .collect();
+            let (h, m) = (self.cfg.history_len, deltas.len());
+            if m < h + 1 {
+                return Vec::new();
+            }
+            let key = &deltas[m - h..];
+            for start in (0..m - h).rev() {
+                if &deltas[start..start + h] == key {
+                    let follow = &deltas[start + h..];
+                    let mut cursor = line;
+                    return (0..self.cfg.degree)
+                        .map(|k| {
+                            cursor = cursor.offset(follow[k % follow.len()]);
+                            cursor
+                        })
+                        .collect();
+                }
+            }
+            Vec::new()
+        }
+    }
+
+    proptest! {
+        /// Identical candidates on every call, for both kinds, across the
+        /// doubled buffer's wrap (windows of 3 to 255 deltas) and
+        /// key-table eviction (up to 48 PCs against as few as 4 keys). PCs
+        /// come in runs, so per-PC streams stay regular, and walk either
+        /// one shared cursor or their own cursors from one start line; the
+        /// latter makes the jump across an evicted key look like a real
+        /// delta.
+        #[test]
+        fn matches_reference_model(
+            train_on_hits in any::<bool>(),
+            shared in any::<bool>(),
+            pcs in 1u64..49,
+            accesses in proptest::collection::vec((0u64..256, 0usize..4, 0u8..4, 0u8..4), 0..2500),
+        ) {
+            // A small delta alphabet, so delta triples recur and correlate.
+            const DELTAS: [i64; 4] = [1, -3, 7, 64];
+            for kind in [GhbKind::GlobalDeltaCorrelation, GhbKind::PcDeltaCorrelation] {
+                for entries in [4, 5, 33, 256] {
+                    let cfg = GhbConfig { kind, entries, train_on_hits, ..GhbConfig::gdc() };
+                    let mut pf = GhbPrefetcher::new(cfg);
+                    let mut reference = ReferenceGhb::new(cfg);
+                    let mut lines = [1u64 << 20; 48];
+                    let mut pc = 0;
+                    let mut out = Vec::new();
+                    for (call, &(switch, d, l1, l2)) in accesses.iter().enumerate() {
+                        // Switch to a random PC on a quarter of the accesses.
+                        if switch % 4 == 0 {
+                            pc = switch / 4 % pcs;
+                        }
+                        let line = &mut lines[if shared { 0 } else { pc as usize }];
+                        *line = line.wrapping_add_signed(DELTAS[d]);
+                        let ctx = PrefetchContext {
+                            pc: Pc(pc),
+                            addr: Addr(*line * 64),
+                            is_store: false,
+                            l1_hit: l1 == 0,
+                            l2_hit: l2 == 0,
+                            in_block: false,
+                        };
+                        out.clear();
+                        pf.on_access(&ctx, &mut out);
+                        prop_assert_eq!(
+                            &out,
+                            &reference.on_access(&ctx),
+                            "{:?}, {} entries, call {}", kind, entries, call
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An evicted key's last line must not leak into its successor's
+    /// stream. PC 9 evicts PC 0, whose last line is 100, and then walks
+    /// 101..=104: a leaked +1 delta would complete four +1 deltas and
+    /// predict one miss early.
+    #[test]
+    fn eviction_starts_the_new_stream_afresh() {
+        let cfg = GhbConfig {
+            entries: 5,
+            ..GhbConfig::pcdc()
+        };
+        let mut pf = GhbPrefetcher::new(cfg);
+        let mut reference = ReferenceGhb::new(cfg);
+        let mut out = Vec::new();
+        let fill = (0..5).map(|pc| (pc, 100 + pc * 1000));
+        for (pc, line) in fill.chain((101..=104).map(|line| (9, line))) {
+            let ctx = PrefetchContext::demand_miss(Pc(pc), Addr(line * 64));
+            out.clear();
+            pf.on_access(&ctx, &mut out);
+            assert_eq!(out, reference.on_access(&ctx), "pc {pc}, line {line}");
+        }
     }
 }

@@ -59,7 +59,8 @@ fn main() {
         p.observe(LineAddr(0x80));
         p.observe(LineAddr(0x1000 + i * 1024));
         p.observe(LineAddr(0x9000 + i * 1024));
-        predicted = p.block_end(BlockId(0));
+        predicted.clear();
+        p.block_end(BlockId(0), &mut predicted);
     }
     println!("  after 10 iterations the predictor prefetches: {predicted:?}");
     println!("  table hits so far: {}", p.stats().prediction_hits);

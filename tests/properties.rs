@@ -70,7 +70,8 @@ proptest! {
         prop_assume!(wb.len() == a.len().min(deltas.len()));
         let d = wb.differential(&wa);
         prop_assert!(!d.was_truncated());
-        let predicted = d.apply(&wa);
+        let mut predicted = Vec::new();
+        d.apply(&wa, &mut predicted);
         prop_assert_eq!(&predicted[..], wb.lines());
     }
 
@@ -160,8 +161,9 @@ proptest! {
                 p1.observe(LineAddr(l));
                 p2.observe(LineAddr(l));
             }
-            let o1 = p1.block_end(BlockId(0));
-            let o2 = p2.block_end(BlockId(0));
+            let (mut o1, mut o2) = (Vec::new(), Vec::new());
+            p1.block_end(BlockId(0), &mut o1);
+            p2.block_end(BlockId(0), &mut o2);
             prop_assert_eq!(&o1, &o2, "predictor must be deterministic");
             prop_assert!(o1.len() <= cfg.prediction_depth * cfg.max_vector);
         }
