@@ -1,6 +1,6 @@
 //! Streamed-replay benchmark: replays the same stored traces once from
 //! fully resident frames (the warm in-memory path) and once through the
-//! disk-backed [`FileCursor`] with read-ahead (the path the engine picks
+//! disk-backed read-ahead byte source of the same `FramedTrace` handle (the path the engine picks
 //! above `CBWS_STREAM_THRESHOLD_BYTES`), and publishes the throughput
 //! ratio, read-ahead stall fraction, and peak resident footprint of the
 //! streamed pass. Writes the measurements to `BENCH_stream.json` at the
@@ -127,7 +127,7 @@ fn main() {
     let mem_store = TraceStore::at(&dir);
     let resident: Vec<_> = workloads.iter().map(|w| mem_store.get(w, scale)).collect();
     let events: usize = resident.iter().map(|t| t.event_count()).sum();
-    let resident_bytes: u64 = resident.iter().map(|t| t.footprint_bytes()).sum();
+    let resident_bytes: u64 = resident.iter().map(|t| t.payload_bytes()).sum();
     let file_bytes: u64 = workloads
         .iter()
         .map(|w| {

@@ -1,9 +1,10 @@
 //! Trace-representation benchmark: replays the same workloads through the
 //! simulator from the classic `Vec<TraceEvent>` (AoS) and from the packed
-//! columnar [`PackedTrace`] (SoA cursor), and times the persistent trace
-//! store's cold path (generate + encode + write) against its warm path
-//! (checksum-verified load). Writes the measurements to `BENCH_trace.json`
-//! at the repository root.
+//! columnar handle the engine replays — the trace store's resident
+//! `FramedTrace`, decoded by the one frame cursor — and times the
+//! persistent trace store's cold path (generate + encode + write) against
+//! its warm path (checksum-verified load). Writes the measurements to
+//! `BENCH_trace.json` at the repository root.
 //!
 //! Two replay ratios come out of it:
 //!
@@ -28,7 +29,6 @@
 //! replay's — representation must never change simulation output.
 
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
-use cbws_trace::PackedTrace;
 use cbws_workloads::trace_store::TraceStore;
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
 use std::time::Instant;
@@ -78,9 +78,33 @@ fn main() {
     let sim = Simulator::new(SystemConfig::default());
     let kind = PrefetcherKind::CbwsSms;
 
-    // Materialize both representations up front so replay timing is pure.
+    // Store paths: cold = generate + encode + write, warm = verified load.
+    // A fresh `TraceStore` per measurement models a fresh process (no
+    // in-memory memoization).
+    let dir = std::env::temp_dir().join(format!("cbws-trace-replay-{}", std::process::id()));
+    let cold_secs = best_of(iters, || {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::at(&dir);
+        for w in &workloads {
+            std::hint::black_box(store.get(w, scale));
+        }
+    });
+    let warm_secs = best_of(iters, || {
+        let store = TraceStore::at(&dir);
+        for w in &workloads {
+            std::hint::black_box(store.get(w, scale));
+        }
+    });
+    eprintln!(
+        "[trace_replay] store: cold {cold_secs:.4} s, warm {warm_secs:.4} s ({:.2}x)",
+        cold_secs / warm_secs
+    );
+
+    // Materialize the AoS side and open the packed handles up front so
+    // replay timing is pure.
     let traces: Vec<_> = workloads.iter().map(|w| w.generate(scale)).collect();
-    let packed: Vec<PackedTrace> = traces.iter().map(PackedTrace::from_trace).collect();
+    let store = TraceStore::at(&dir);
+    let packed: Vec<_> = workloads.iter().map(|w| store.get(w, scale)).collect();
 
     // Representation must not change output.
     for (w, (t, p)) in workloads.iter().zip(traces.iter().zip(packed.iter())) {
@@ -120,29 +144,8 @@ fn main() {
          packed {packed_secs:.4} s ({:.2}x)",
         aos_e2e_secs / packed_secs
     );
-
-    // Store paths: cold = generate + encode + write, warm = verified load.
-    // A fresh `TraceStore` per measurement models a fresh process (no
-    // in-memory memoization).
-    let dir = std::env::temp_dir().join(format!("cbws-trace-replay-{}", std::process::id()));
-    let cold_secs = best_of(iters, || {
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::at(&dir);
-        for w in &workloads {
-            std::hint::black_box(store.get(w, scale));
-        }
-    });
-    let warm_secs = best_of(iters, || {
-        let store = TraceStore::at(&dir);
-        for w in &workloads {
-            std::hint::black_box(store.get(w, scale));
-        }
-    });
+    drop((packed, store));
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!(
-        "[trace_replay] store: cold {cold_secs:.4} s, warm {warm_secs:.4} s ({:.2}x)",
-        cold_secs / warm_secs
-    );
 
     let json = format!(
         "{{\n  \"bench\": \"trace_replay\",\n  \"scale\": \"{scale_name}\",\n  \

@@ -72,8 +72,8 @@ pub const MIN_HISTORY: usize = 3;
 /// cursor ever loses that end-to-end race, direct packed replay is the
 /// wrong default and this gate says so. (The pure replay-kernel ratio
 /// with both representations pre-materialized is published alongside as
-/// `replay_kernel_ratio`, ungated: slice intake is nearly free, so it
-/// sits a little under 1.0 by the cost of real decode work.)
+/// `replay_kernel_ratio`, ungated: it hovers around parity and is noisy
+/// at small scale.)
 pub const REPLAY_SPEEDUP_FLOOR: f64 = 1.0;
 
 /// Ceiling on `engine_warm_seconds / serial_seconds` when the recorded

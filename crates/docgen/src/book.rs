@@ -305,10 +305,13 @@ fn trace_store(root: &Path) -> Result<String, String> {
          independently decodable **frames**, and written to a versioned, \
          checksummed binary file per `(workload, scale)` under \
          `CBWS_TRACE_STORE_DIR` (default `target/trace-store/`). The sweep \
-         engine and the figure regenerators replay these files through a \
-         cursor without ever materializing a `Vec<TraceEvent>` — \
-         zero-copy from a memory map for ordinary files, or frame by frame \
-         from disk for files past the streaming threshold.\n\n\
+         engine and the figure regenerators replay these files without \
+         ever materializing a `Vec<TraceEvent>`. Every open returns one \
+         handle, `cbws_trace::FramedTrace` (the frame table plus a byte \
+         source), and every replay runs one frame cursor over it; only \
+         the byte source differs — a memory map for ordinary files \
+         (frames are zero-copy views of it), or frame-by-frame reads from \
+         disk for files past the streaming threshold.\n\n\
          ## File format (version 4)\n\n\
          All integers are little-endian. One file per `(workload, scale)`, \
          named `<workload>-<scale>.cbwstrace`.\n\n\
@@ -347,15 +350,15 @@ fn trace_store(root: &Path) -> Result<String, String> {
          `frame_events` events (default 64 Ki, `CBWS_TRACE_FRAME_EVENTS`) \
          is packed and flushed to disk immediately, so generating a huge \
          trace never holds more than one frame of events in memory.\n\
-         * **Replaying streams past a threshold.** The engine asks the \
-         store for a replay source; files larger than \
+         * **Replaying streams past a threshold.** The store picks the \
+         handle's byte source from the file size: files larger than \
          `CBWS_STREAM_THRESHOLD_BYTES` (default 256 MiB; `0` streams \
-         everything) come back as a disk-backed cursor whose read-ahead \
-         thread fetches frame N+1 while the simulator drains frame N, \
-         instead of mapping the whole file. Smaller files load zero-copy \
-         through a memory map as before. Streamed and in-memory replay \
-         are record-identical — property tests and the `stream_replay` \
-         bench both assert it.\n\n\
+         everything) stay on disk, and a read-ahead thread fetches frame \
+         N+1 while the cursor decodes frame N, instead of mapping the \
+         whole file. Smaller files are memory-mapped. The cursor is the \
+         same 256-event batch decoder either way, so streamed and \
+         in-memory replay are record-identical — property tests and the \
+         `stream_replay` bench both assert it.\n\n\
          A counting-allocator test (`bounded_memory.rs`) pins the claim: \
          generating **and** replaying a huge ~10⁷-event trace stays under \
          a constant live-heap bound far below the trace's packed size.\n",
@@ -393,10 +396,12 @@ fn trace_store(root: &Path) -> Result<String, String> {
          source file the workload lives in, and its name), so editing one \
          suite regenerates only that suite's traces; version 3 changed the \
          PC lane encoding; version 4 framed the payload, so older stores \
-         regenerate wholesale on first use. Streamed opens run a bounded \
-         sequential validation pass (one frame resident at a time) before \
-         handing out a cursor, so a corrupt frame is caught at open — not \
-         mid-replay — and triggers the same regeneration path. Writes are \
+         regenerate wholesale on first use. Every open of an existing \
+         file checks each frame (checksum, payload parse, event count) \
+         before handing out the handle — a streamed file through the \
+         read-ahead, a few frames resident at a time — so a corrupt frame \
+         is caught at open, not mid-replay, and triggers the same \
+         regeneration path. Writes are \
          atomic (temp file + rename), so a crashed run cannot leave a torn \
          file that poisons the next one.\n\n\
          ## Telemetry\n\n\

@@ -40,6 +40,15 @@ pub enum Source {
         /// Parameter name.
         param: &'static str,
     },
+    /// A numeric field of a committed `BENCH_*.json` snapshot. Claims with
+    /// this source are repository measurements the docs quote, not paper
+    /// claims, so the scorecard page leaves them out.
+    Bench {
+        /// Snapshot file name at the repository root.
+        file: &'static str,
+        /// Field name.
+        field: &'static str,
+    },
 }
 
 /// One place in the repo's prose that quotes the claim's number.
@@ -75,6 +84,14 @@ pub struct Claim {
     pub quotes: &'static [DocQuote],
     /// Commentary shown on the scorecard (what drives any divergence).
     pub note: &'static str,
+}
+
+impl Claim {
+    /// Whether this is one of the paper's claims (shown on the scorecard)
+    /// rather than a repository measurement the docs quote.
+    pub fn is_paper_claim(&self) -> bool {
+        !matches!(self.source, Source::Bench { .. })
+    }
 }
 
 /// The claim table. Order is the scorecard page order.
@@ -349,6 +366,23 @@ pub fn claims() -> Vec<Claim> {
                    handful of differential vectors cover nearly every \
                    iteration of a regular loop.",
         },
+        Claim {
+            id: "replay-kernel-ratio",
+            title: "AoS over packed replay time, both pre-materialized",
+            paper_text: "",
+            paper_value: 0.0,
+            tolerance: 0.0,
+            source: Source::Bench {
+                file: "BENCH_trace.json",
+                field: "replay_kernel_ratio",
+            },
+            quotes: &[DocQuote {
+                file: "DESIGN.md",
+                pattern: "`replay_kernel_ratio` is {NUM} on the committed \
+                          `BENCH_trace.json` snapshot",
+            }],
+            note: "",
+        },
     ]
 }
 
@@ -374,6 +408,13 @@ pub fn measure(
             let d = find_component(registry, component)?;
             Ok(d.storage_kb()
                 .ok_or_else(|| format!("component {component} declares no storage budget"))?)
+        }
+        Source::Bench { file, field } => {
+            let snap = cbws_bench::perf_history::load_snapshot(&root.join(file), "committed", 0)?;
+            snap.metrics
+                .get(field)
+                .copied()
+                .ok_or_else(|| format!("{file}: no numeric field `{field}`"))
         }
         Source::DescribeParam { component, param } => {
             let d = find_component(registry, component)?;

@@ -26,7 +26,13 @@ fn scratch_docs_root(tag: &str) -> PathBuf {
     let scratch = std::env::temp_dir().join(format!("docgen-drift-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(scratch.join("results")).unwrap();
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"] {
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "ROADMAP.md",
+        "BENCH_trace.json",
+    ] {
         std::fs::copy(root.join(doc), scratch.join(doc)).unwrap();
     }
     for entry in std::fs::read_dir(root.join("results")).unwrap().flatten() {
@@ -79,6 +85,29 @@ fn perturbed_readme_number_fails_the_quote_check() {
         problems.join("\n")
     );
 
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+#[test]
+fn perturbed_bench_snapshot_fails_the_quote_check() {
+    let registry = component_registry(&SystemConfig::default());
+    let scratch = scratch_docs_root("bench");
+    let path = scratch.join("BENCH_trace.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"replay_kernel_ratio\""))
+        .expect("snapshot records replay_kernel_ratio")
+        .to_string();
+    perturb(&path, &line, "  \"replay_kernel_ratio\": 9.999,");
+    let problems = docgen::check::check_quotes(&scratch, &registry);
+    assert!(
+        problems
+            .iter()
+            .any(|p| p.contains("replay-kernel-ratio") && p.contains("DESIGN.md")),
+        "a snapshot moved out from under DESIGN.md must be caught:\n{}",
+        problems.join("\n")
+    );
     std::fs::remove_dir_all(&scratch).ok();
 }
 

@@ -34,7 +34,8 @@ fn scorecard_page_matches_the_golden_snapshot() {
 #[test]
 fn tiny_fixture_exercises_every_source_kind() {
     // The fixture intentionally feeds every claim: Csv-backed claims from
-    // the tiny artifacts, Describe-backed claims from the live registry.
+    // the tiny artifacts, Bench-backed claims from its snapshot copy,
+    // Describe-backed claims from the live registry.
     let root = fixture_root();
     let registry = component_registry(&SystemConfig::default());
     for claim in docgen::claims::claims() {

@@ -34,7 +34,7 @@ use cbws_harness::{Engine, EngineConfig, PrefetcherKind, RunManifest, Simulator,
 use cbws_sim_mem::DramConfig;
 use cbws_stats::{RunRecord, TextTable};
 use cbws_telemetry::{result, status, Telemetry};
-use cbws_trace::{ReplaySource, Trace};
+use cbws_trace::{FramedTrace, Trace};
 use cbws_workloads::{by_name, trace_cache, trace_store, Scale, WorkloadSpec};
 use std::sync::Arc;
 
@@ -129,12 +129,23 @@ fn main() {
     // Registered workloads draw from the persistent trace store: resident
     // frames below the streaming threshold, a disk-backed cursor above it.
     let threshold = EngineConfig::default().resolved_stream_threshold();
-    let source: Option<ReplaySource> =
+    let source: Option<Arc<FramedTrace>> =
         spec.map(|w| trace_store::shared().replay_source(w, scale, threshold));
 
     match (&external, &source) {
-        (Some(t), _) => {
-            let s = t.stats();
+        // Walking a streamed file just to print a stats line would cost a
+        // full replay; report what the frame table already knows.
+        (None, Some(t)) if t.is_streamed() => result!(
+            "trace `{label}`: {} events, streaming {} bytes from disk\n",
+            t.event_count(),
+            t.payload_bytes()
+        ),
+        _ => {
+            let s = match (&external, &source) {
+                (Some(t), _) => t.stats(),
+                (None, Some(t)) => t.stats(),
+                (None, None) => unreachable!("no spec and no external trace"),
+            };
             result!(
                 "trace `{label}`: {} instructions, {} accesses, {} block instances\n",
                 s.instructions,
@@ -142,25 +153,6 @@ fn main() {
                 s.dynamic_blocks
             );
         }
-        (None, Some(ReplaySource::Memory(t))) => {
-            let s = t.stats();
-            result!(
-                "trace `{label}`: {} instructions, {} accesses, {} block instances\n",
-                s.instructions,
-                s.mem_accesses,
-                s.dynamic_blocks
-            );
-        }
-        (None, Some(ReplaySource::Streamed(t))) => {
-            // Walking the whole file just to print a stats line would cost
-            // a full replay; report what the frame table already knows.
-            result!(
-                "trace `{label}`: {} events, streaming {} bytes from disk\n",
-                t.event_count(),
-                t.file_bytes()
-            );
-        }
-        (None, None) => unreachable!("no spec and no external trace"),
     }
 
     // Registered workloads with no shared-telemetry outputs go through the

@@ -88,40 +88,11 @@ fn valid_tag(line: LineAddr) -> u64 {
     (line.0 << 1) | 1
 }
 
-/// Scalar scan of a set's contiguous tag lane for `want` (a packed valid
-/// tag, or `0` to find a free way). Default kernel; the `simd` feature
-/// swaps in the wide scan below with identical results.
-#[cfg(not(cbws_wide_probe))]
+/// Scan of a set's contiguous tag lane for `want` (a packed valid tag, or
+/// `0` to find a free way).
 #[inline]
 fn scan_tags(tags: &[u64], want: u64) -> Option<usize> {
     tags.iter().position(|&t| t == want)
-}
-
-/// Wide scan of a set's tag lane: compares `u64x4`-style chunks with a
-/// branch-free mask reduction, so an 8-way set resolves in two chunk
-/// compares instead of up to eight dependent ones. First-match semantics
-/// (chunks in order, `trailing_zeros` within a chunk) match the scalar
-/// kernel exactly.
-#[cfg(cbws_wide_probe)]
-#[inline]
-fn scan_tags(tags: &[u64], want: u64) -> Option<usize> {
-    let mut chunks = tags.chunks_exact(4);
-    let mut base = 0usize;
-    for c in chunks.by_ref() {
-        let hits = u32::from(c[0] == want)
-            | u32::from(c[1] == want) << 1
-            | u32::from(c[2] == want) << 2
-            | u32::from(c[3] == want) << 3;
-        if hits != 0 {
-            return Some(base + hits.trailing_zeros() as usize);
-        }
-        base += 4;
-    }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&t| t == want)
-        .map(|i| base + i)
 }
 
 impl Cache {

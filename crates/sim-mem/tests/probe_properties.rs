@@ -1,10 +1,6 @@
-//! Property tests for the tag-lane scan kernels: `probe_batch` (and the
-//! `find` scan underneath every probe/touch/insert) must agree with a
-//! shadow model of resident lines for arbitrary operation sequences.
-//!
-//! These run under both kernel selections — the scalar scan by default
-//! and the 4-wide unrolled scan with `--features simd` — so CI's dual
-//! build proves the kernels are interchangeable.
+//! Property tests for the tag-lane scan: `probe_batch` (and the `find`
+//! scan underneath every probe/touch/insert) must agree with a shadow
+//! model of resident lines for arbitrary operation sequences.
 
 use cbws_sim_mem::{Cache, CacheConfig};
 use cbws_trace::LineAddr;
@@ -32,8 +28,8 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 }
 
 fn geometry_strategy() -> impl Strategy<Value = CacheConfig> {
-    // Associativities straddling the 4-wide chunk size: below, exact,
-    // multiple, and with a remainder.
+    // Direct-mapped through 16-way sets, including a non-power-of-two
+    // associativity.
     prop_oneof![Just(1usize), Just(2), Just(4), Just(6), Just(8), Just(16)].prop_map(|assoc| {
         CacheConfig {
             size_bytes: (assoc * 16 * 64) as u64, // 16 sets

@@ -41,9 +41,8 @@ pub use addr::{Addr, BlockId, LineAddr, Pc, LINE_BYTES, LINE_SHIFT};
 pub use builder::{BuildError, ChunkSink, TraceBuilder};
 pub use event::{BranchRecord, Dependence, MemAccess, MemKind, TraceEvent};
 pub use packed::{
-    fnv1a, EventCursor, EventRef, EventSource, FileCursor, FrameEntry, FramedCursor, FramedTrace,
-    PackedError, PackedTrace, ReplayCursor, ReplaySource, SliceCursor, StreamObserver, StreamStats,
-    StreamedTrace, TraceCursor,
+    fnv1a, EventCursor, EventRef, EventSource, FrameCursor, FrameEntry, FrameError, FramedTrace,
+    PackedError, PackedTrace, SliceCursor, StreamObserver, StreamStats,
 };
 pub use stats::TraceStats;
 

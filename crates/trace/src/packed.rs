@@ -24,19 +24,41 @@
 //! the same ALU/mem/branch PCs every iteration, so per-variant deltas
 //! stay tiny even though the combined PC stream ping-pongs between body
 //! PCs and distant loop back-edges. Nearly every entry is then one byte
-//! and the batch decoder's 8-wide fast path carries the lane. The buffer layout **is** the
-//! on-disk payload of the persistent trace store
-//! (`cbws-workloads::trace_store`), so a memory-mapped file replays
-//! zero-copy. Conversion [`Trace`] ⇄ [`PackedTrace`] is lossless
-//! (property-tested in `tests/packed_properties.rs`).
+//! and the batch decoder's 8-wide fast path carries the lane. Conversion
+//! [`Trace`] ⇄ [`PackedTrace`] is lossless (property-tested in
+//! `tests/packed_properties.rs`).
 //!
-//! Consumers iterate through [`TraceCursor`] (usually via the
-//! [`EventSource`] trait, which `Core::run` and the analysis passes are
-//! generic over). The cursor refills in 256-event batches: one pass over
-//! the tag chunk counts each lane's contribution, then every operand lane
-//! is batch-decoded ([`crate::varint::decode_batch`]) into a flat `u64`
-//! scratch column, and events are emitted from those columns — the hot
-//! loop never decodes varints one event at a time.
+//! # Frames
+//!
+//! A [`FramedTrace`] is a sequence of such payloads — **frames**, each
+//! decodable on its own because the delta predictors reset at every frame
+//! boundary — described by a table of [`FrameEntry`]s (offset, length,
+//! event count, [`fnv1a`] checksum). This is the on-disk layout of the
+//! persistent trace store (`cbws-workloads::trace_store`). Where the frame
+//! bytes come from is the trace's only variable:
+//!
+//! * **resident** — one buffer holding every frame at its table offset: a
+//!   memory-mapped store file (frames replay as zero-copy views of it) or
+//!   the same layout in heap memory;
+//! * **read-ahead** — the file itself, read frame by frame by a background
+//!   thread that fetches frame N+1 while frame N decodes, so replay memory
+//!   is a few frames regardless of trace length. Each frame's checksum is
+//!   re-verified as it arrives.
+//!
+//! A lone [`PackedTrace`] replays as a trace of one resident frame.
+//!
+//! # The cursor
+//!
+//! Every packed replay goes through the one [`FrameCursor`] (usually via
+//! the [`EventSource`] trait, which `Core::run` and the analysis passes
+//! are generic over); [`SliceCursor`] over an AoS [`Trace`] is the oracle
+//! it is tested against. The cursor refills in 256-event batches: one
+//! pass over the tag chunk counts each lane's contribution, then every
+//! operand lane is batch-decoded ([`crate::varint::decode_batch`]) into a
+//! flat `u64` scratch column, and events are emitted from those columns —
+//! the hot loop never decodes varints one event at a time. When a frame
+//! runs dry the cursor starts the next one, whichever source its bytes
+//! come from.
 
 use crate::addr::{Addr, BlockId, Pc};
 use crate::event::{BranchRecord, Dependence, MemAccess, MemKind, TraceEvent};
@@ -51,7 +73,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
-/// A decoded event as yielded by a [`TraceCursor`].
+/// A decoded event as yielded by an [`EventCursor`].
 ///
 /// Every field of [`TraceEvent`] is `Copy`, so the decoded view is the event
 /// itself, built in registers from the packed columns; the alias exists so
@@ -62,9 +84,9 @@ pub type EventRef = TraceEvent;
 /// sequential cursor.
 ///
 /// Implemented by [`Trace`] (slice iteration over the materialized events)
-/// and [`PackedTrace`] (on-the-fly decode from the packed columns), so the
-/// replay and analysis loops are written once and monomorphized per
-/// representation.
+/// and by [`PackedTrace`] and [`FramedTrace`] (on-the-fly decode from the
+/// packed columns through the one [`FrameCursor`]), so the replay and
+/// analysis loops are written once and monomorphized per representation.
 pub trait EventSource {
     /// The sequential iterator over decoded events.
     type Cursor<'a>: EventCursor + 'a
@@ -83,7 +105,7 @@ pub trait EventSource {
 ///
 /// The replay loop consumes [`next_batch`](EventCursor::next_batch) so its
 /// inner loop is plain slice iteration regardless of representation —
-/// [`Trace`] returns its whole event slice in one chunk, [`PackedTrace`]
+/// [`Trace`] returns its whole event slice in one chunk, a [`FrameCursor`]
 /// returns each decode batch. Analysis passes that want one event at a
 /// time keep using the [`Iterator`] interface.
 pub trait EventCursor: Iterator<Item = EventRef> {
@@ -143,7 +165,7 @@ impl EventCursor for SliceCursor<'_> {
 }
 
 impl EventSource for PackedTrace {
-    type Cursor<'a> = TraceCursor<'a>;
+    type Cursor<'a> = FrameCursor<'a>;
 
     fn cursor(&self) -> Self::Cursor<'_> {
         PackedTrace::cursor(self)
@@ -151,6 +173,23 @@ impl EventSource for PackedTrace {
 
     fn event_count(&self) -> usize {
         self.event_count()
+    }
+}
+
+/// A shared handle replays as what it points to, so the trace store's
+/// `Arc<FramedTrace>` handles go straight into `Simulator::run`.
+impl<T: EventSource + ?Sized> EventSource for Arc<T> {
+    type Cursor<'a>
+        = T::Cursor<'a>
+    where
+        Self: 'a;
+
+    fn cursor(&self) -> Self::Cursor<'_> {
+        (**self).cursor()
+    }
+
+    fn event_count(&self) -> usize {
+        (**self).event_count()
     }
 }
 
@@ -238,37 +277,6 @@ impl fmt::Display for PackedError {
 
 impl Error for PackedError {}
 
-/// Backing storage of a packed payload: owned bytes, or a shared read-only
-/// buffer (e.g. a memory-mapped trace-store file) viewed at an offset.
-enum Payload {
-    Owned(Box<[u8]>),
-    Shared {
-        data: Arc<dyn AsRef<[u8]> + Send + Sync>,
-        offset: usize,
-        len: usize,
-    },
-}
-
-impl Payload {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Payload::Owned(b) => b,
-            Payload::Shared { data, offset, len } => &(**data).as_ref()[*offset..*offset + *len],
-        }
-    }
-}
-
-impl fmt::Debug for Payload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Payload::Owned(b) => write!(f, "Owned({} bytes)", b.len()),
-            Payload::Shared { offset, len, .. } => {
-                write!(f, "Shared({len} bytes at offset {offset})")
-            }
-        }
-    }
-}
-
 /// Byte offsets of each column within a payload, derived from the header:
 /// entry counts plus the byte length of each varint lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,6 +320,42 @@ impl Layout {
             total,
         }
     }
+
+    /// Reads the count header of `bytes` and checks that the columns it
+    /// declares fill the buffer exactly. The tags and lanes themselves are
+    /// not inspected — see [`PackedTrace::validate`].
+    fn parse(bytes: &[u8]) -> Result<Layout, PackedError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(PackedError::Truncated {
+                expected: HEADER_BYTES,
+                actual: bytes.len(),
+            });
+        }
+        let mut header = [0usize; HEADER_WORDS];
+        for (i, slot) in header.iter_mut().enumerate() {
+            *slot = usize::try_from(u64_at(bytes, i)).map_err(|_| PackedError::Truncated {
+                expected: usize::MAX,
+                actual: bytes.len(),
+            })?;
+        }
+        // Guard the offset arithmetic against overflow on absurd counts:
+        // the tag lane is one byte per event, the operand lanes contribute
+        // their declared byte lengths directly.
+        let promised = header[0]
+            .checked_add(header[5])
+            .and_then(|n| n.checked_add(header[6]))
+            .and_then(|n| n.checked_add(header[7]))
+            .and_then(|n| n.checked_add(header[8]))
+            .and_then(|n| n.checked_add(HEADER_BYTES))
+            .unwrap_or(usize::MAX);
+        if promised != bytes.len() {
+            return Err(PackedError::Truncated {
+                expected: promised,
+                actual: bytes.len(),
+            });
+        }
+        Ok(Layout::from_header(header))
+    }
 }
 
 #[inline]
@@ -334,10 +378,18 @@ fn u64_at(col: &[u8], idx: usize) -> u64 {
 /// assert_eq!(packed.event_count(), trace.len());
 /// assert_eq!(packed.to_trace(), trace);
 /// ```
-#[derive(Debug)]
 pub struct PackedTrace {
-    payload: Payload,
+    payload: Box<[u8]>,
     layout: Layout,
+}
+
+impl fmt::Debug for PackedTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PackedTrace")
+            .field("events", &self.layout.n_events)
+            .field("bytes", &self.payload.len())
+            .finish()
+    }
 }
 
 impl PackedTrace {
@@ -444,76 +496,24 @@ impl PackedTrace {
         buf.extend_from_slice(&blocks);
         debug_assert_eq!(buf.len(), layout.total);
         PackedTrace {
-            payload: Payload::Owned(buf.into_boxed_slice()),
+            payload: buf.into_boxed_slice(),
             layout,
         }
     }
 
-    /// Parses an owned payload buffer, validating the count header and every
-    /// tag byte. Never panics on corrupt input.
+    /// Parses an owned payload buffer, validating the count header, every
+    /// tag byte and every operand lane. Never panics on corrupt input.
     pub fn from_payload(bytes: Box<[u8]>) -> Result<PackedTrace, PackedError> {
         let layout = Self::validate(&bytes)?;
         Ok(PackedTrace {
-            payload: Payload::Owned(bytes),
-            layout,
-        })
-    }
-
-    /// Parses a payload viewed inside a shared read-only buffer (typically a
-    /// memory-mapped trace-store file) without copying it. `offset..offset +
-    /// len` must lie within `data`'s byte slice.
-    pub fn from_shared_payload(
-        data: Arc<dyn AsRef<[u8]> + Send + Sync>,
-        offset: usize,
-        len: usize,
-    ) -> Result<PackedTrace, PackedError> {
-        let full = (*data).as_ref();
-        let end = offset.saturating_add(len);
-        if end > full.len() {
-            return Err(PackedError::Truncated {
-                expected: end,
-                actual: full.len(),
-            });
-        }
-        let layout = Self::validate(&full[offset..end])?;
-        Ok(PackedTrace {
-            payload: Payload::Shared { data, offset, len },
+            payload: bytes,
             layout,
         })
     }
 
     /// Validates a payload and derives its column layout.
     fn validate(bytes: &[u8]) -> Result<Layout, PackedError> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(PackedError::Truncated {
-                expected: HEADER_BYTES,
-                actual: bytes.len(),
-            });
-        }
-        let mut header = [0usize; HEADER_WORDS];
-        for (i, slot) in header.iter_mut().enumerate() {
-            *slot = usize::try_from(u64_at(bytes, i)).map_err(|_| PackedError::Truncated {
-                expected: usize::MAX,
-                actual: bytes.len(),
-            })?;
-        }
-        // Guard the offset arithmetic against overflow on absurd counts:
-        // the tag lane is one byte per event, the operand lanes contribute
-        // their declared byte lengths directly.
-        let promised = header[0]
-            .checked_add(header[5])
-            .and_then(|n| n.checked_add(header[6]))
-            .and_then(|n| n.checked_add(header[7]))
-            .and_then(|n| n.checked_add(header[8]))
-            .and_then(|n| n.checked_add(HEADER_BYTES))
-            .unwrap_or(usize::MAX);
-        if promised != bytes.len() {
-            return Err(PackedError::Truncated {
-                expected: promised,
-                actual: bytes.len(),
-            });
-        }
-        let layout = Layout::from_header(header);
+        let layout = Layout::parse(bytes)?;
         // The tag stream must be internally valid and agree with the counts,
         // so every later cursor walk is in bounds by construction.
         let mut derived = [0u64; 4]; // pcs, mems, alus, blocks
@@ -547,10 +547,10 @@ impl PackedTrace {
             }
         }
         for (column, declared, derived) in [
-            ("pcs", header[1] as u64, derived[0]),
-            ("addr_deltas", header[2] as u64, derived[1]),
-            ("alu_counts", header[3] as u64, derived[2]),
-            ("block_ids", header[4] as u64, derived[3]),
+            ("pcs", layout.n_pcs as u64, derived[0]),
+            ("addr_deltas", layout.n_mems as u64, derived[1]),
+            ("alu_counts", layout.n_alus as u64, derived[2]),
+            ("block_ids", layout.n_blocks as u64, derived[3]),
         ] {
             if declared != derived {
                 return Err(PackedError::CountMismatch {
@@ -564,14 +564,18 @@ impl PackedTrace {
         // byte, no over-long entry) and hold exactly as many entries as
         // the tags demand, so batch decoding never runs out of bytes.
         for (column, range, declared) in [
-            ("pcs", layout.pcs..layout.addr_deltas, header[1]),
+            ("pcs", layout.pcs..layout.addr_deltas, layout.n_pcs),
             (
                 "addr_deltas",
                 layout.addr_deltas..layout.alu_counts,
-                header[2],
+                layout.n_mems,
             ),
-            ("alu_counts", layout.alu_counts..layout.block_ids, header[3]),
-            ("block_ids", layout.block_ids..layout.total, header[4]),
+            (
+                "alu_counts",
+                layout.alu_counts..layout.block_ids,
+                layout.n_alus,
+            ),
+            ("block_ids", layout.block_ids..layout.total, layout.n_blocks),
         ] {
             match varint::count_entries(&bytes[range]) {
                 None => return Err(PackedError::MalformedLane { column }),
@@ -591,13 +595,13 @@ impl PackedTrace {
     /// The complete payload buffer (count header + columns), which is the
     /// byte-exact on-disk payload of the trace store.
     pub fn payload(&self) -> &[u8] {
-        self.payload.as_slice()
+        &self.payload
     }
 
     /// The named columns (including the count header), in payload order —
     /// the unit the trace store checksums individually.
     pub fn columns(&self) -> [(&'static str, &[u8]); 6] {
-        let p = self.payload.as_slice();
+        let p = &self.payload;
         let l = &self.layout;
         [
             ("counts", &p[..l.tags]),
@@ -619,40 +623,12 @@ impl PackedTrace {
         self.layout.n_events == 0
     }
 
-    /// Resident bytes of the payload (what the in-memory store accounts).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.payload.as_slice().len() as u64
-    }
-
-    /// A cursor positioned at the first event.
-    pub fn cursor(&self) -> TraceCursor<'_> {
-        let p = self.payload.as_slice();
-        let l = &self.layout;
-        // Per-lane kernel choice, made once from the header: the 8-wide
-        // word kernel only pays off when its all-terminator fast path
-        // fires on nearly every probe, i.e. when the lane averages ≤ 9/8
-        // bytes per entry (ALU run lengths, block ids, unit-stride
-        // deltas). Wider lanes (PC deltas, irregular address deltas)
-        // decode faster through the well-predicted scalar byte loop.
-        let dense = |bytes: usize, entries: usize| bytes * 8 <= entries * 9;
-        TraceCursor {
-            tags: &p[l.tags..l.pcs],
-            pcs: &p[l.pcs..l.addr_deltas],
-            addr_deltas: &p[l.addr_deltas..l.alu_counts],
-            alu_counts: &p[l.alu_counts..l.block_ids],
-            block_ids: &p[l.block_ids..l.total],
-            dense: [
-                dense(l.addr_deltas - l.pcs, l.n_pcs),
-                dense(l.alu_counts - l.addr_deltas, l.n_mems),
-                dense(l.block_ids - l.alu_counts, l.n_alus),
-                dense(l.total - l.block_ids, l.n_blocks),
-            ],
-            prev_addr: 0,
-            prev_pc: [0; 3],
-            buf: Vec::with_capacity(CURSOR_BATCH),
-            buf_i: 0,
-            scratch: Box::new(LaneScratch::new()),
-        }
+    /// A cursor positioned at the first event: the frame cursor over this
+    /// payload as a trace of one resident frame.
+    pub fn cursor(&self) -> FrameCursor<'_> {
+        let mut cursor = FrameCursor::new(&[], 0, CursorBytes::Resident(&self.payload));
+        cursor.frame = FrameState::new(&self.layout, 0);
+        cursor
     }
 
     /// Decodes back into a materialized [`Trace`] (lossless).
@@ -669,7 +645,7 @@ impl PackedTrace {
 
 impl PartialEq for PackedTrace {
     fn eq(&self, other: &Self) -> bool {
-        self.payload.as_slice() == other.payload.as_slice()
+        self.payload == other.payload
     }
 }
 
@@ -681,40 +657,7 @@ impl From<&Trace> for PackedTrace {
     }
 }
 
-/// Sequential decoder over a [`PackedTrace`]'s columns.
-///
-/// Construction is only possible from a validated payload, so every column
-/// read is in bounds. Refills happen in `CURSOR_BATCH`-event batches:
-/// one pass over the tag chunk tallies each lane's contribution, each
-/// varint lane is batch-decoded into a flat scratch column, and events are
-/// then emitted straight from those columns — the per-event work is a tag
-/// dispatch plus indexed `u64` reads, never per-event varint decoding.
-#[derive(Debug, Clone)]
-pub struct TraceCursor<'a> {
-    tags: &'a [u8],
-    pcs: &'a [u8],
-    addr_deltas: &'a [u8],
-    alu_counts: &'a [u8],
-    block_ids: &'a [u8],
-    /// Per-lane decoder choice (pcs, deltas, alus, blocks), fixed at
-    /// construction from each lane's bytes-per-entry — see
-    /// [`PackedTrace::cursor`].
-    dense: [bool; 4],
-    prev_addr: u64,
-    /// Per-variant PC predictors (ALU / mem / branch), mirroring
-    /// [`PackedTrace::from_trace`]'s encoders.
-    prev_pc: [u64; 3],
-    /// Decoded-ahead events. Decoding in batches keeps the column state in
-    /// registers for a whole tight decode loop instead of spilling it
-    /// between every event of the (register-hungry) replay loop; `next()`
-    /// is then a plain buffer read, as cheap as slice iteration.
-    buf: Vec<EventRef>,
-    buf_i: usize,
-    /// Per-lane decode targets, boxed so the cursor stays cheap to move.
-    scratch: Box<LaneScratch>,
-}
-
-/// Events decoded per [`TraceCursor`] refill. 256 × ~32 B ≈ 8 KB of
+/// Events decoded per [`FrameCursor`] refill. 256 × ~32 B ≈ 8 KB of
 /// decoded events plus 4 × 2 KB of scratch columns — hot in L1/L2 next to
 /// the replay loop's own state.
 const CURSOR_BATCH: usize = 256;
@@ -851,105 +794,12 @@ impl<'s> Assembler<'s> {
     }
 }
 
-impl<'a> TraceCursor<'a> {
-    /// Takes the next ≤[`CURSOR_BATCH`] tags off the stream and
-    /// batch-decodes every lane's contribution into the scratch columns,
-    /// returning the tag chunk.
-    fn decode_lanes(&mut self) -> &'a [u8] {
-        let (batch, rest) = self.tags.split_at(self.tags.len().min(CURSOR_BATCH));
-        self.tags = rest;
-        // Pass 1: how many entries each operand lane contributes here —
-        // one packed-counter add per tag, no branches.
-        let mut tally = 0u64;
-        for &tag in batch {
-            tally += TAG_TALLY[tag as usize];
-        }
-        let n_pc = (tally & 0xffff) as usize;
-        let n_mem = (tally >> 16 & 0xffff) as usize;
-        let n_alu = (tally >> 32 & 0xffff) as usize;
-        let n_blk = (tally >> 48) as usize;
-        // Batch-decode each lane into its flat scratch column through the
-        // kernel its density picked at construction. Validation proved
-        // the lanes hold exactly the entries the tags demand.
-        #[inline]
-        fn lane(dense: bool, lane: &mut &[u8], out: &mut [u64]) {
-            if dense {
-                varint::decode_batch(lane, out);
-            } else {
-                varint::decode_batch_scalar(lane, out);
-            }
-        }
-        let s = &mut *self.scratch;
-        lane(self.dense[0], &mut self.pcs, &mut s.pcs[..n_pc]);
-        lane(self.dense[1], &mut self.addr_deltas, &mut s.deltas[..n_mem]);
-        lane(self.dense[2], &mut self.alu_counts, &mut s.alus[..n_alu]);
-        lane(self.dense[3], &mut self.block_ids, &mut s.blocks[..n_blk]);
-        batch
-    }
-
-    /// Decodes the next batch of events into the read-ahead buffer.
-    fn refill(&mut self) {
-        self.buf.clear();
-        self.buf_i = 0;
-        let batch = self.decode_lanes();
-        let mut a = Assembler::new(&self.scratch, self.prev_addr, self.prev_pc);
-        // Pass 2: assemble events from the scratch columns. `extend` over
-        // an exact-size map writes each event once with no per-event
-        // capacity or length bookkeeping.
-        self.buf.extend(batch.iter().map(|&tag| a.event(tag)));
-        self.prev_addr = a.prev_addr;
-        self.prev_pc = a.prev_pc;
-    }
-}
-
-impl Iterator for TraceCursor<'_> {
-    type Item = EventRef;
-
-    #[inline]
-    fn next(&mut self) -> Option<EventRef> {
-        if self.buf_i == self.buf.len() {
-            if self.tags.is_empty() {
-                return None;
-            }
-            self.refill();
-        }
-        let e = self.buf[self.buf_i];
-        self.buf_i += 1;
-        Some(e)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.tags.len() + (self.buf.len() - self.buf_i);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for TraceCursor<'_> {}
-
-impl EventCursor for TraceCursor<'_> {
-    #[inline]
-    fn next_batch(&mut self) -> Option<&[EventRef]> {
-        if self.buf_i < self.buf.len() {
-            // Events already decoded but not yet taken via `next()`.
-            let chunk = &self.buf[self.buf_i..];
-            self.buf_i = self.buf.len();
-            return Some(chunk);
-        }
-        if self.tags.is_empty() {
-            return None;
-        }
-        self.refill();
-        self.buf_i = self.buf.len();
-        Some(&self.buf[..])
-    }
-}
-
 /// FNV-1a over a byte slice — the per-frame checksum the trace store
-/// records in a framed file's footer and [`FileCursor`] re-verifies while
-/// replaying.
+/// records in a framed file's footer, [`FramedTrace::verify`] checks, and
+/// a streamed [`FrameCursor`] re-checks while replaying.
 ///
 /// Lives here (rather than only in the store) so the writer and the
-/// disk-backed reader are guaranteed to agree on the algorithm.
+/// readers are guaranteed to agree on the algorithm.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -959,16 +809,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One frame's location and integrity record inside a framed trace file
+/// One frame's location and integrity record inside a framed trace
 /// (packed store format v4).
 ///
 /// A frame is a standalone [`PackedTrace`] payload covering a contiguous
 /// event range, with the delta predictors reset at the frame boundary so
 /// it decodes without any bytes from neighbouring frames. The store's
-/// footer holds one entry per frame; offsets are absolute file offsets.
+/// footer holds one entry per frame; offsets are absolute offsets into the
+/// file (or buffer) holding the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameEntry {
-    /// Absolute file offset of the frame payload.
+    /// Absolute offset of the frame payload.
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
@@ -978,40 +829,207 @@ pub struct FrameEntry {
     pub checksum: u64,
 }
 
-/// A packed trace split into independently decodable frames, fully
-/// resident in memory (each frame typically a zero-copy view into one
-/// shared memory-mapped file).
-///
-/// Replay chains the frames' [`TraceCursor`]s in order; because every
-/// frame's payload resets the delta predictors, the concatenation decodes
-/// to exactly the event sequence of the unframed trace. A single-frame
-/// `FramedTrace` is the degenerate case and costs one extra branch per
-/// frame switch, i.e. nothing.
-#[derive(Debug)]
-pub struct FramedTrace {
-    frames: Vec<PackedTrace>,
-    total_events: usize,
-}
-
-impl FramedTrace {
-    /// Wraps an ordered frame sequence. The frames' event ranges are
-    /// assumed contiguous (frame N+1 starts where frame N ended).
-    pub fn from_frames(frames: Vec<PackedTrace>) -> FramedTrace {
-        let total_events = frames.iter().map(PackedTrace::event_count).sum();
-        FramedTrace {
-            frames,
-            total_events,
+impl FrameEntry {
+    /// The entry for `frame`'s payload written at `offset`.
+    pub fn of(frame: &PackedTrace, offset: u64) -> FrameEntry {
+        FrameEntry {
+            offset,
+            len: frame.payload.len() as u64,
+            events: frame.event_count() as u64,
+            checksum: fnv1a(&frame.payload),
         }
     }
 
-    /// Wraps a single unframed trace — the shape every pre-v4 store file
-    /// loads into.
-    pub fn single(packed: PackedTrace) -> FramedTrace {
-        FramedTrace::from_frames(vec![packed])
+    fn range(&self) -> std::ops::Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
+}
+
+/// Why a frame of a [`FramedTrace`] failed its check.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The frame's bytes could not be read from the file.
+    Read {
+        /// Index of the frame.
+        frame: usize,
+        /// The underlying read error.
+        error: io::Error,
+    },
+    /// The frame lies outside the resident buffer.
+    OutOfBounds {
+        /// Index of the frame.
+        frame: usize,
+    },
+    /// The payload's FNV-1a checksum differs from the frame table's.
+    Checksum {
+        /// Index of the frame.
+        frame: usize,
+        /// Checksum of the bytes read.
+        got: u64,
+        /// Checksum the frame table records.
+        stored: u64,
+    },
+    /// The payload does not parse.
+    Payload {
+        /// Index of the frame.
+        frame: usize,
+        /// Why the parser rejected it.
+        error: PackedError,
+    },
+    /// The payload's event count differs from the frame table's.
+    EventCount {
+        /// Index of the frame.
+        frame: usize,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Read { frame, error } => write!(f, "frame {frame} unreadable: {error}"),
+            FrameError::OutOfBounds { frame } => {
+                write!(f, "frame {frame} lies outside the trace's bytes")
+            }
+            FrameError::Checksum { frame, got, stored } => {
+                write!(
+                    f,
+                    "frame {frame} checksum {got:#018x} != stored {stored:#018x}"
+                )
+            }
+            FrameError::Payload { frame, error } => write!(f, "frame {frame} rejected: {error}"),
+            FrameError::EventCount { frame } => {
+                write!(
+                    f,
+                    "frame {frame} event count disagrees with the frame table"
+                )
+            }
+        }
+    }
+}
+
+impl Error for FrameError {}
+
+/// Counters a streamed [`FrameCursor`] accumulates over one replay and
+/// reports to its [`FramedTrace`]'s observer when it is dropped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamStats {
+    /// Frames read and decoded.
+    pub frames: u64,
+    /// Payload bytes read off disk.
+    pub bytes: u64,
+    /// Frame adoptions that had to block on the read-ahead thread.
+    pub stalls: u64,
+    /// Total microseconds spent blocked on the read-ahead thread.
+    pub stall_micros: u64,
+}
+
+/// Hook a streamed [`FramedTrace`] calls with the final [`StreamStats`] of
+/// each replay, installed by the trace store to bump `trace.stream.*`
+/// telemetry without this crate depending on the telemetry layer.
+pub type StreamObserver = Arc<dyn Fn(StreamStats) + Send + Sync>;
+
+/// Where a [`FramedTrace`]'s frame bytes come from.
+enum ByteSource {
+    /// One resident buffer holding every frame at its table offset: a
+    /// memory-mapped store file (frames are zero-copy views of it) or the
+    /// same layout in heap memory.
+    Resident(Arc<dyn AsRef<[u8]> + Send + Sync>),
+    /// The file at `path`, read frame by frame by each cursor's
+    /// read-ahead thread.
+    ReadAhead {
+        path: PathBuf,
+        observer: Option<StreamObserver>,
+    },
+}
+
+/// A packed trace split into independently decodable frames: a frame
+/// table plus the source of the frames' bytes.
+///
+/// The bytes are either resident (a mapped file or a heap buffer) or read
+/// from disk during replay with bounded memory. Either way the one
+/// [`FrameCursor`] runs the same batch decoder over every frame, and
+/// because every frame resets the delta predictors the concatenation
+/// decodes to exactly the event sequence of the unframed trace.
+///
+/// Construction checks only that resident frames lie inside their buffer;
+/// [`verify`](FramedTrace::verify) checks every frame's checksum, payload
+/// and event count, as the trace store does when it opens a file.
+/// A streamed cursor re-verifies each frame's checksum as it arrives and
+/// **panics** on a mismatch, since at that point the file has been modified
+/// underneath a live replay — the same trust model as a mapped file
+/// changing under `mmap`.
+pub struct FramedTrace {
+    frames: Arc<[FrameEntry]>,
+    total_events: usize,
+    bytes: ByteSource,
+}
+
+impl fmt::Debug for FramedTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let source = match &self.bytes {
+            ByteSource::Resident(data) => format!("resident {} bytes", (**data).as_ref().len()),
+            ByteSource::ReadAhead { path, .. } => format!("read-ahead {}", path.display()),
+        };
+        f.debug_struct("FramedTrace")
+            .field("frames", &self.frames.len())
+            .field("total_events", &self.total_events)
+            .field("bytes", &source)
+            .finish()
+    }
+}
+
+impl FramedTrace {
+    fn new(frames: Vec<FrameEntry>, bytes: ByteSource) -> FramedTrace {
+        FramedTrace {
+            total_events: frames.iter().map(|f| f.events as usize).sum(),
+            frames: frames.into(),
+            bytes,
+        }
     }
 
-    /// The frames, in event order.
-    pub fn frames(&self) -> &[PackedTrace] {
+    /// Frames resident in `data`, each a view at its table offset.
+    pub fn resident(
+        data: Arc<dyn AsRef<[u8]> + Send + Sync>,
+        frames: Vec<FrameEntry>,
+    ) -> Result<FramedTrace, FrameError> {
+        let len = (*data).as_ref().len() as u64;
+        if let Some(frame) = frames
+            .iter()
+            .position(|f| f.offset.checked_add(f.len).is_none_or(|end| end > len))
+        {
+            return Err(FrameError::OutOfBounds { frame });
+        }
+        Ok(FramedTrace::new(frames, ByteSource::Resident(data)))
+    }
+
+    /// Frames read from the file at `path` during replay, one frame
+    /// resident at a time per cursor (plus the read-ahead's).
+    pub fn read_ahead(path: PathBuf, frames: Vec<FrameEntry>) -> FramedTrace {
+        FramedTrace::new(
+            frames,
+            ByteSource::ReadAhead {
+                path,
+                observer: None,
+            },
+        )
+    }
+
+    /// Installs the per-replay stats hook of a read-ahead trace (see
+    /// [`StreamObserver`]); resident traces have no stats to report.
+    pub fn with_observer(mut self, hook: StreamObserver) -> FramedTrace {
+        if let ByteSource::ReadAhead { observer, .. } = &mut self.bytes {
+            *observer = Some(hook);
+        }
+        self
+    }
+
+    /// Whether replay reads the frames from disk rather than memory.
+    pub fn is_streamed(&self) -> bool {
+        matches!(self.bytes, ByteSource::ReadAhead { .. })
+    }
+
+    /// The frame table (one entry per frame, in event order).
+    pub fn frames(&self) -> &[FrameEntry] {
         &self.frames
     }
 
@@ -1025,18 +1043,71 @@ impl FramedTrace {
         self.total_events == 0
     }
 
-    /// Resident bytes across all frame payloads.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.frames.iter().map(PackedTrace::footprint_bytes).sum()
+    /// Payload bytes across all frames.
+    pub fn payload_bytes(&self) -> u64 {
+        self.frames.iter().map(|f| f.len).sum()
     }
 
-    /// A cursor positioned at the first event of the first frame.
-    pub fn cursor(&self) -> FramedCursor<'_> {
-        FramedCursor {
-            frames: self.frames.iter(),
-            cur: None,
-            remaining: self.total_events,
+    /// Checks every frame in order — checksum, payload parse, and event
+    /// count against the frame table — reading streamed frames through
+    /// the read-ahead thread, so at most a few frames are resident.
+    pub fn verify(&self) -> Result<(), FrameError> {
+        let check = |frame: usize, entry: &FrameEntry, bytes: &[u8]| {
+            let got = fnv1a(bytes);
+            if got != entry.checksum {
+                return Err(FrameError::Checksum {
+                    frame,
+                    got,
+                    stored: entry.checksum,
+                });
+            }
+            let layout = PackedTrace::validate(bytes)
+                .map_err(|error| FrameError::Payload { frame, error })?;
+            if layout.n_events as u64 != entry.events {
+                return Err(FrameError::EventCount { frame });
+            }
+            Ok(())
+        };
+        match &self.bytes {
+            ByteSource::Resident(data) => {
+                let data = (**data).as_ref();
+                for (i, entry) in self.frames.iter().enumerate() {
+                    check(i, entry, &data[entry.range()])?;
+                }
+            }
+            ByteSource::ReadAhead { path, .. } => {
+                let mut reader = ReadAhead::spawn(path, Arc::clone(&self.frames));
+                let mut stats = StreamStats::default();
+                for (i, entry) in self.frames.iter().enumerate() {
+                    let bytes = reader
+                        .recv(&mut stats)
+                        .map_err(|error| FrameError::Read { frame: i, error })?;
+                    check(i, entry, &bytes)?;
+                }
+            }
         }
+        Ok(())
+    }
+
+    /// A cursor positioned at the first event of the first frame. For a
+    /// streamed trace this spawns the read-ahead thread; panics if the
+    /// thread cannot be spawned or — later, during replay — if the file no
+    /// longer matches the frame table.
+    pub fn cursor(&self) -> FrameCursor<'_> {
+        let bytes = match &self.bytes {
+            ByteSource::Resident(data) => CursorBytes::Resident((**data).as_ref()),
+            ByteSource::ReadAhead { path, observer } => {
+                CursorBytes::ReadAhead(Box::new(Streamed {
+                    path,
+                    observer: observer.as_ref(),
+                    reader: ReadAhead::spawn(path, Arc::clone(&self.frames)),
+                    frame: Vec::new(),
+                    adopted: 0,
+                    stats: StreamStats::default(),
+                }))
+            }
+        };
+        FrameCursor::new(&self.frames, self.total_events, bytes)
     }
 
     /// Decodes back into a materialized [`Trace`] (lossless).
@@ -1052,7 +1123,7 @@ impl FramedTrace {
 }
 
 impl EventSource for FramedTrace {
-    type Cursor<'a> = FramedCursor<'a>;
+    type Cursor<'a> = FrameCursor<'a>;
 
     fn cursor(&self) -> Self::Cursor<'_> {
         FramedTrace::cursor(self)
@@ -1063,154 +1134,27 @@ impl EventSource for FramedTrace {
     }
 }
 
-/// Cursor over a [`FramedTrace`]: the frames' [`TraceCursor`]s chained in
-/// order. Batch consumers see each frame's decode batches back to back.
-#[derive(Debug)]
-pub struct FramedCursor<'a> {
-    frames: std::slice::Iter<'a, PackedTrace>,
-    cur: Option<TraceCursor<'a>>,
-    remaining: usize,
+/// The read-ahead thread behind a streamed cursor: reads the frame
+/// payloads in order and hands them over a one-slot channel, so frame N+1
+/// is read while frame N decodes and at most three frames are in flight.
+struct ReadAhead {
+    rx: Option<mpsc::Receiver<io::Result<Vec<u8>>>>,
+    reader: Option<thread::JoinHandle<()>>,
 }
 
-impl Iterator for FramedCursor<'_> {
-    type Item = EventRef;
-
-    #[inline]
-    fn next(&mut self) -> Option<EventRef> {
-        loop {
-            if let Some(c) = &mut self.cur {
-                if let Some(e) = c.next() {
-                    self.remaining -= 1;
-                    return Some(e);
-                }
-            }
-            self.cur = Some(self.frames.next()?.cursor());
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for FramedCursor<'_> {}
-
-impl EventCursor for FramedCursor<'_> {
-    fn next_batch(&mut self) -> Option<&[EventRef]> {
-        // Advance to a frame cursor that still has events before taking a
-        // batch, so the returned borrow never blocks the frame switch.
-        while self.cur.as_ref().is_none_or(|c| c.len() == 0) {
-            self.cur = Some(self.frames.next()?.cursor());
-        }
-        let chunk = self.cur.as_mut().unwrap().next_batch()?;
-        self.remaining -= chunk.len();
-        Some(chunk)
-    }
-}
-
-/// Counters a [`FileCursor`] accumulates over one streamed replay and
-/// reports to the [`StreamedTrace`]'s observer when it is dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Frames read and decoded.
-    pub frames: u64,
-    /// Payload bytes read off disk.
-    pub bytes: u64,
-    /// Frame adoptions that had to block on the read-ahead thread.
-    pub stalls: u64,
-    /// Total microseconds spent blocked on the read-ahead thread.
-    pub stall_micros: u64,
-}
-
-/// Hook a [`StreamedTrace`] calls with the final [`StreamStats`] of each
-/// replay, installed by the trace store to bump `trace.stream.*`
-/// telemetry without this crate depending on the telemetry layer.
-pub type StreamObserver = Arc<dyn Fn(StreamStats) + Send + Sync>;
-
-/// Handle to an on-disk framed trace replayed with bounded memory.
-///
-/// Holds only the file path and the frame table — no payload bytes. Each
-/// [`cursor`](StreamedTrace::cursor) spawns a read-ahead thread that
-/// fetches frame N+1 from disk while the replay loop decodes frame N
-/// (double buffering via a rendezvous-plus-one channel), so peak resident
-/// memory is a few frames regardless of trace length.
-///
-/// The trace store validates every frame (checksum + payload parse) when
-/// it opens the file; the cursor re-verifies checksums during replay and
-/// **panics** on a mismatch, since at that point the file has been
-/// modified underneath a live replay — the same trust model as a mapped
-/// file changing under `mmap`.
-pub struct StreamedTrace {
-    path: PathBuf,
-    frames: Arc<[FrameEntry]>,
-    total_events: usize,
-    observer: Option<StreamObserver>,
-}
-
-impl fmt::Debug for StreamedTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamedTrace")
-            .field("path", &self.path)
-            .field("frames", &self.frames.len())
-            .field("total_events", &self.total_events)
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
-}
-
-impl StreamedTrace {
-    /// Builds a handle from a validated frame table. `total_events` must
-    /// equal the sum of the entries' event counts.
-    pub fn new(path: PathBuf, frames: Vec<FrameEntry>, total_events: usize) -> StreamedTrace {
-        debug_assert_eq!(
-            frames.iter().map(|f| f.events).sum::<u64>(),
-            total_events as u64
-        );
-        StreamedTrace {
-            path,
-            frames: frames.into(),
-            total_events,
-            observer: None,
-        }
-    }
-
-    /// Installs the per-replay stats hook (see [`StreamObserver`]).
-    pub fn with_observer(mut self, observer: StreamObserver) -> StreamedTrace {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// The framed file this handle replays from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The frame table (one entry per frame, in event order).
-    pub fn frames(&self) -> &[FrameEntry] {
-        &self.frames
-    }
-
-    /// Total payload bytes on disk across all frames.
-    pub fn file_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.len).sum()
-    }
-
-    /// Number of events (not instructions) across all frames.
-    pub fn event_count(&self) -> usize {
-        self.total_events
-    }
-
-    /// A disk-backed cursor positioned at the first event. Spawns the
-    /// read-ahead thread; panics if the thread cannot be spawned or —
-    /// later, during replay — if the file no longer matches the frame
-    /// table it was opened with.
-    pub fn cursor(&self) -> FileCursor<'_> {
+impl ReadAhead {
+    fn spawn(path: &Path, frames: Arc<[FrameEntry]>) -> ReadAhead {
         let (tx, rx) = mpsc::sync_channel::<io::Result<Vec<u8>>>(1);
-        let path = self.path.clone();
-        let frames = Arc::clone(&self.frames);
+        let path = path.to_path_buf();
         let reader = thread::Builder::new()
             .name("cbws-trace-readahead".into())
             .spawn(move || {
+                let read = |file: &mut File, entry: &FrameEntry| {
+                    let mut buf = vec![0u8; entry.len as usize];
+                    file.seek(SeekFrom::Start(entry.offset))?;
+                    file.read_exact(&mut buf)?;
+                    Ok(buf)
+                };
                 let mut file = match File::open(&path) {
                     Ok(f) => f,
                     Err(e) => {
@@ -1219,186 +1163,49 @@ impl StreamedTrace {
                     }
                 };
                 for entry in frames.iter() {
-                    let mut buf = vec![0u8; entry.len as usize];
-                    let res = file
-                        .seek(SeekFrom::Start(entry.offset))
-                        .and_then(|_| file.read_exact(&mut buf));
-                    match res {
-                        // A full send queue means the replay loop is
-                        // still decoding earlier frames; blocking here
-                        // is the read-ahead working as intended. A send
-                        // error means the cursor was dropped — exit.
-                        Ok(()) => {
-                            if tx.send(Ok(buf)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
+                    let res = read(&mut file, entry);
+                    let failed = res.is_err();
+                    // A full queue means the consumer is still decoding
+                    // earlier frames; blocking here is the read-ahead
+                    // working as intended. A send error means the consumer
+                    // was dropped — exit.
+                    if tx.send(res).is_err() || failed {
+                        return;
                     }
                 }
             })
             .expect("spawn trace read-ahead thread");
-        FileCursor {
-            src: self,
+        ReadAhead {
             rx: Some(rx),
             reader: Some(reader),
-            frame_i: 0,
-            buf: Vec::new(),
-            buf_i: 0,
-            remaining: self.total_events,
-            stats: StreamStats::default(),
         }
     }
-}
 
-impl EventSource for StreamedTrace {
-    type Cursor<'a> = FileCursor<'a>;
-
-    fn cursor(&self) -> Self::Cursor<'_> {
-        StreamedTrace::cursor(self)
-    }
-
-    fn event_count(&self) -> usize {
-        self.total_events
-    }
-}
-
-/// Disk-backed [`EventCursor`] over a [`StreamedTrace`].
-///
-/// A dedicated reader thread fetches frame payloads sequentially and
-/// hands them over a bounded channel (capacity 1, so up to two frames are
-/// in flight beyond the one being decoded). The replay side verifies each
-/// frame's checksum against the frame table, parses it as a standalone
-/// [`PackedTrace`], decodes the whole frame into a reusable event buffer,
-/// and serves it through the usual cursor interface — `Core::run` sees
-/// the same batched slices it gets from an in-memory trace.
-#[derive(Debug)]
-pub struct FileCursor<'a> {
-    src: &'a StreamedTrace,
-    rx: Option<mpsc::Receiver<io::Result<Vec<u8>>>>,
-    reader: Option<thread::JoinHandle<()>>,
-    /// Next frame index to adopt from the reader.
-    frame_i: usize,
-    /// Decoded events of the current frame.
-    buf: Vec<EventRef>,
-    buf_i: usize,
-    remaining: usize,
-    stats: StreamStats,
-}
-
-impl FileCursor<'_> {
-    /// Stats accumulated so far (finalized totals are reported to the
-    /// observer on drop).
-    pub fn stats(&self) -> StreamStats {
-        self.stats
-    }
-
-    /// Receives, verifies, and decodes the next frame into `buf`.
-    /// Returns `false` when every frame has been consumed.
-    fn adopt_next_frame(&mut self) -> bool {
-        if self.frame_i == self.src.frames.len() {
-            return false;
-        }
+    /// The next frame's bytes. Only a blocking wait counts as a stall — a
+    /// frame already queued means the read-ahead fully hid the disk.
+    fn recv(&mut self, stats: &mut StreamStats) -> io::Result<Vec<u8>> {
         let rx = self.rx.as_ref().expect("read-ahead channel alive");
-        // Stall accounting: only a blocking wait counts — if the frame is
-        // already buffered, the read-ahead fully hid the disk latency.
         let msg = match rx.try_recv() {
-            Ok(m) => m,
+            Ok(m) => Ok(m),
             Err(mpsc::TryRecvError::Empty) => {
                 let t = Instant::now();
-                let m = rx
-                    .recv()
-                    .expect("trace read-ahead thread exited before the last frame");
-                self.stats.stalls += 1;
-                self.stats.stall_micros += t.elapsed().as_micros() as u64;
-                m
+                let m = rx.recv();
+                stats.stalls += 1;
+                stats.stall_micros += t.elapsed().as_micros() as u64;
+                m.map_err(|_| ())
             }
-            Err(mpsc::TryRecvError::Disconnected) => {
-                panic!("trace read-ahead thread exited before the last frame")
-            }
+            Err(mpsc::TryRecvError::Disconnected) => Err(()),
         };
-        let entry = self.src.frames[self.frame_i];
-        let bytes = msg.unwrap_or_else(|e| {
-            panic!(
-                "streamed trace read failed at frame {} of {}: {e}",
-                self.frame_i,
-                self.src.path.display()
-            )
-        });
-        assert_eq!(
-            fnv1a(&bytes),
-            entry.checksum,
-            "frame {} of {} failed its checksum during replay (file modified?)",
-            self.frame_i,
-            self.src.path.display()
-        );
-        let frame = PackedTrace::from_payload(bytes.into_boxed_slice()).unwrap_or_else(|e| {
-            panic!(
-                "frame {} of {} no longer parses ({e}) — file modified during replay?",
-                self.frame_i,
-                self.src.path.display()
-            )
-        });
-        self.buf.clear();
-        self.buf.extend(frame.cursor());
-        self.buf_i = 0;
-        self.frame_i += 1;
-        self.stats.frames += 1;
-        self.stats.bytes += entry.len;
-        true
+        msg.unwrap_or_else(|()| {
+            Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "read-ahead thread exited before the last frame",
+            ))
+        })
     }
 }
 
-impl Iterator for FileCursor<'_> {
-    type Item = EventRef;
-
-    #[inline]
-    fn next(&mut self) -> Option<EventRef> {
-        while self.buf_i == self.buf.len() {
-            if !self.adopt_next_frame() {
-                return None;
-            }
-        }
-        let e = self.buf[self.buf_i];
-        self.buf_i += 1;
-        self.remaining -= 1;
-        Some(e)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for FileCursor<'_> {}
-
-impl EventCursor for FileCursor<'_> {
-    fn next_batch(&mut self) -> Option<&[EventRef]> {
-        if self.buf_i < self.buf.len() {
-            // Events already decoded but not yet taken via `next()`.
-            let i = self.buf_i;
-            self.buf_i = self.buf.len();
-            self.remaining -= self.buf.len() - i;
-            return Some(&self.buf[i..]);
-        }
-        loop {
-            if !self.adopt_next_frame() {
-                return None;
-            }
-            if !self.buf.is_empty() {
-                break;
-            }
-        }
-        self.buf_i = self.buf.len();
-        self.remaining -= self.buf.len();
-        Some(&self.buf[..])
-    }
-}
-
-impl Drop for FileCursor<'_> {
+impl Drop for ReadAhead {
     fn drop(&mut self) {
         // Dropping the receiver makes the reader's next send fail, so it
         // exits even when the replay stopped mid-trace.
@@ -1406,87 +1213,265 @@ impl Drop for FileCursor<'_> {
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
-        if let Some(obs) = &self.src.observer {
-            obs(self.stats);
+    }
+}
+
+/// A streamed cursor's byte state: the read-ahead, the frame being
+/// decoded, and the stats reported to the observer on drop.
+struct Streamed<'a> {
+    path: &'a Path,
+    observer: Option<&'a StreamObserver>,
+    reader: ReadAhead,
+    frame: Vec<u8>,
+    adopted: usize,
+    stats: StreamStats,
+}
+
+impl Streamed<'_> {
+    /// Receives the next frame and re-verifies its checksum against
+    /// `entry`, panicking if the file changed since it was opened.
+    fn adopt(&mut self, entry: &FrameEntry) -> &[u8] {
+        let i = self.adopted;
+        self.frame = self.reader.recv(&mut self.stats).unwrap_or_else(|e| {
+            panic!(
+                "streamed trace read failed at frame {i} of {}: {e}",
+                self.path.display()
+            )
+        });
+        assert_eq!(
+            fnv1a(&self.frame),
+            entry.checksum,
+            "frame {i} of {} failed its checksum during replay (file modified?)",
+            self.path.display()
+        );
+        self.adopted += 1;
+        self.stats.frames += 1;
+        self.stats.bytes += entry.len;
+        &self.frame
+    }
+}
+
+impl Drop for Streamed<'_> {
+    fn drop(&mut self) {
+        if let Some(observer) = self.observer {
+            observer(self.stats);
         }
     }
 }
 
-/// The engine's trace handle: either a fully resident framed trace or a
-/// disk-backed streamed one, chosen per job by the byte threshold
-/// (`CBWS_STREAM_THRESHOLD_BYTES`). Implements [`EventSource`], so
-/// `Simulator::run` takes either without caring which.
-#[derive(Debug, Clone)]
-pub enum ReplaySource {
-    /// Fully resident frames (zero-copy views of the mapped store file).
-    Memory(Arc<FramedTrace>),
-    /// Disk-backed frames replayed through a [`FileCursor`].
-    Streamed(Arc<StreamedTrace>),
+/// Where a [`FrameCursor`] reads frame bytes from.
+enum CursorBytes<'a> {
+    /// Every frame is a view into one resident buffer, at its offset.
+    Resident(&'a [u8]),
+    /// Frames arrive one at a time; the current one is owned here.
+    ReadAhead(Box<Streamed<'a>>),
 }
 
-impl ReplaySource {
-    /// Whether this handle replays from disk rather than memory.
-    pub fn is_streamed(&self) -> bool {
-        matches!(self, ReplaySource::Streamed(_))
+/// Decode state of the frame being replayed: byte offsets of the tag
+/// lane and of each operand lane's read position and end, into the bytes
+/// the frame lives in, plus the delta predictors.
+#[derive(Debug, Clone, Default)]
+struct FrameState {
+    tag: usize,
+    tag_end: usize,
+    /// Read position of each operand lane (pcs, deltas, alus, blocks).
+    lane: [usize; 4],
+    lane_end: [usize; 4],
+    /// Per-lane decoder choice, fixed per frame from the header.
+    dense: [bool; 4],
+    prev_addr: u64,
+    /// Per-variant PC predictors (ALU / mem / branch), mirroring
+    /// [`PackedTrace::from_trace`]'s encoders.
+    prev_pc: [u64; 3],
+}
+
+impl FrameState {
+    /// State at the first event of a frame with layout `l` starting at
+    /// byte `base`.
+    fn new(l: &Layout, base: usize) -> FrameState {
+        // Per-lane kernel choice, made once from the header: the 8-wide
+        // word kernel only pays off when its all-terminator fast path
+        // fires on nearly every probe, i.e. when the lane averages ≤ 9/8
+        // bytes per entry (ALU run lengths, block ids, unit-stride
+        // deltas). Wider lanes (PC deltas, irregular address deltas)
+        // decode faster through the well-predicted scalar byte loop.
+        let dense = |bytes: usize, entries: usize| bytes * 8 <= entries * 9;
+        FrameState {
+            tag: base + l.tags,
+            tag_end: base + l.pcs,
+            lane: [l.pcs, l.addr_deltas, l.alu_counts, l.block_ids].map(|o| base + o),
+            lane_end: [l.addr_deltas, l.alu_counts, l.block_ids, l.total].map(|o| base + o),
+            dense: [
+                dense(l.addr_deltas - l.pcs, l.n_pcs),
+                dense(l.alu_counts - l.addr_deltas, l.n_mems),
+                dense(l.block_ids - l.alu_counts, l.n_alus),
+                dense(l.total - l.block_ids, l.n_blocks),
+            ],
+            prev_addr: 0,
+            prev_pc: [0; 3],
+        }
     }
 }
 
-impl EventSource for ReplaySource {
-    type Cursor<'a> = ReplayCursor<'a>;
+/// The one cursor over packed events, for a [`FramedTrace`] from either
+/// byte source and for a lone [`PackedTrace`] (a trace of one frame).
+///
+/// Refills happen in `CURSOR_BATCH`-event batches: one pass over the tag
+/// chunk tallies each lane's contribution, each varint lane is
+/// batch-decoded into a flat scratch column, and events are then emitted
+/// straight from those columns — the per-event work is a tag dispatch plus
+/// indexed `u64` reads, never per-event varint decoding. When a frame runs
+/// dry the cursor moves to the next one: the next view of a resident
+/// buffer, or the next payload off the read-ahead thread (checksum
+/// re-verified).
+pub struct FrameCursor<'a> {
+    /// Frames not yet started.
+    pending: std::slice::Iter<'a, FrameEntry>,
+    /// Events in `pending`.
+    pending_events: usize,
+    bytes: CursorBytes<'a>,
+    frame: FrameState,
+    /// Decoded-ahead events. Decoding in batches keeps the column state in
+    /// registers for a whole tight decode loop instead of spilling it
+    /// between every event of the (register-hungry) replay loop; `next()`
+    /// is then a plain buffer read, as cheap as slice iteration.
+    buf: Vec<EventRef>,
+    buf_i: usize,
+    /// Per-lane decode targets, boxed so the cursor stays cheap to move.
+    scratch: Box<LaneScratch>,
+}
 
-    fn cursor(&self) -> Self::Cursor<'_> {
-        match self {
-            ReplaySource::Memory(t) => ReplayCursor::Memory(t.cursor()),
-            ReplaySource::Streamed(t) => ReplayCursor::Streamed(t.cursor()),
+impl fmt::Debug for FrameCursor<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameCursor")
+            .field("remaining", &self.len())
+            .field("streamed", &matches!(self.bytes, CursorBytes::ReadAhead(_)))
+            .finish()
+    }
+}
+
+impl<'a> FrameCursor<'a> {
+    fn new(frames: &'a [FrameEntry], events: usize, bytes: CursorBytes<'a>) -> FrameCursor<'a> {
+        FrameCursor {
+            pending: frames.iter(),
+            pending_events: events,
+            bytes,
+            frame: FrameState::default(),
+            buf: Vec::with_capacity(CURSOR_BATCH),
+            buf_i: 0,
+            scratch: Box::new(LaneScratch::new()),
         }
     }
 
-    fn event_count(&self) -> usize {
-        match self {
-            ReplaySource::Memory(t) => t.event_count(),
-            ReplaySource::Streamed(t) => t.event_count(),
+    /// Starts the next frame; `false` once every frame has been started.
+    fn next_frame(&mut self) -> bool {
+        let Some(entry) = self.pending.next() else {
+            return false;
+        };
+        self.pending_events -= entry.events as usize;
+        let (base, bytes) = match &mut self.bytes {
+            CursorBytes::Resident(data) => (entry.offset as usize, &data[entry.range()]),
+            CursorBytes::ReadAhead(s) => (0, s.adopt(entry)),
+        };
+        let layout = Layout::parse(bytes)
+            .unwrap_or_else(|e| panic!("a verified frame no longer parses: {e}"));
+        self.frame = FrameState::new(&layout, base);
+        true
+    }
+
+    /// Decodes the next batch of events into the read-ahead buffer,
+    /// moving to the next frame first if this one is done. `false` at the
+    /// end of the trace.
+    fn refill(&mut self) -> bool {
+        while self.frame.tag == self.frame.tag_end {
+            if !self.next_frame() {
+                return false;
+            }
         }
+        let base: &[u8] = match &self.bytes {
+            CursorBytes::Resident(data) => data,
+            CursorBytes::ReadAhead(s) => &s.frame,
+        };
+        let f = &mut self.frame;
+        let end = f.tag_end.min(f.tag + CURSOR_BATCH);
+        let batch = &base[f.tag..end];
+        f.tag = end;
+        // Pass 1: how many entries each operand lane contributes here —
+        // one packed-counter add per tag, no branches.
+        let mut tally = 0u64;
+        for &tag in batch {
+            tally += TAG_TALLY[tag as usize];
+        }
+        let counts = [
+            (tally & 0xffff) as usize,
+            (tally >> 16 & 0xffff) as usize,
+            (tally >> 32 & 0xffff) as usize,
+            (tally >> 48) as usize,
+        ];
+        // Batch-decode each lane into its flat scratch column through the
+        // kernel its density picked. Validation proved the lanes hold
+        // exactly the entries the tags demand.
+        let s = &mut *self.scratch;
+        for (k, out) in [&mut s.pcs, &mut s.deltas, &mut s.alus, &mut s.blocks]
+            .into_iter()
+            .enumerate()
+        {
+            let mut lane = &base[f.lane[k]..f.lane_end[k]];
+            let out = &mut out[..counts[k]];
+            if f.dense[k] {
+                varint::decode_batch(&mut lane, out);
+            } else {
+                varint::decode_batch_scalar(&mut lane, out);
+            }
+            f.lane[k] = f.lane_end[k] - lane.len();
+        }
+        // Pass 2: assemble events from the scratch columns. `extend` over
+        // an exact-size map writes each event once with no per-event
+        // capacity or length bookkeeping.
+        self.buf.clear();
+        self.buf_i = 0;
+        let mut a = Assembler::new(&self.scratch, f.prev_addr, f.prev_pc);
+        self.buf.extend(batch.iter().map(|&tag| a.event(tag)));
+        f.prev_addr = a.prev_addr;
+        f.prev_pc = a.prev_pc;
+        true
     }
 }
 
-/// Cursor over a [`ReplaySource`]: plain enum delegation to the
-/// underlying representation's cursor.
-#[derive(Debug)]
-pub enum ReplayCursor<'a> {
-    /// Chained in-memory frame cursors.
-    Memory(FramedCursor<'a>),
-    /// Disk-backed cursor with read-ahead.
-    Streamed(FileCursor<'a>),
-}
-
-impl Iterator for ReplayCursor<'_> {
+impl Iterator for FrameCursor<'_> {
     type Item = EventRef;
 
     #[inline]
     fn next(&mut self) -> Option<EventRef> {
-        match self {
-            ReplayCursor::Memory(c) => c.next(),
-            ReplayCursor::Streamed(c) => c.next(),
+        if self.buf_i == self.buf.len() && !self.refill() {
+            return None;
         }
+        let e = self.buf[self.buf_i];
+        self.buf_i += 1;
+        Some(e)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            ReplayCursor::Memory(c) => c.size_hint(),
-            ReplayCursor::Streamed(c) => c.size_hint(),
-        }
+        let left = self.pending_events
+            + (self.frame.tag_end - self.frame.tag)
+            + (self.buf.len() - self.buf_i);
+        (left, Some(left))
     }
 }
 
-impl ExactSizeIterator for ReplayCursor<'_> {}
+impl ExactSizeIterator for FrameCursor<'_> {}
 
-impl EventCursor for ReplayCursor<'_> {
+impl EventCursor for FrameCursor<'_> {
     #[inline]
     fn next_batch(&mut self) -> Option<&[EventRef]> {
-        match self {
-            ReplayCursor::Memory(c) => c.next_batch(),
-            ReplayCursor::Streamed(c) => c.next_batch(),
+        // Events already decoded but not yet taken via `next()` come
+        // first.
+        if self.buf_i == self.buf.len() && !self.refill() {
+            return None;
         }
+        let chunk = &self.buf[self.buf_i..];
+        self.buf_i = self.buf.len();
+        Some(chunk)
     }
 }
 
@@ -1587,28 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_payload_is_zero_copy_view() {
-        let packed = PackedTrace::from_trace(&sample());
-        let mut framed = vec![0xAA; 3]; // leading junk the view must skip
-        framed.extend_from_slice(packed.payload());
-        framed.extend_from_slice(&[0xBB; 5]);
-        let len = packed.payload().len();
-        let shared: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(framed);
-        let view = PackedTrace::from_shared_payload(shared, 3, len).unwrap();
-        assert_eq!(view, packed);
-        assert_eq!(view.to_trace(), sample());
-    }
-
-    #[test]
-    fn shared_payload_out_of_bounds_is_error() {
-        let shared: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(vec![0u8; 16]);
-        assert!(matches!(
-            PackedTrace::from_shared_payload(shared, 8, 16),
-            Err(PackedError::Truncated { .. })
-        ));
-    }
-
-    #[test]
     fn empty_trace_packs() {
         let packed = PackedTrace::from_trace(&Trace::default());
         assert!(packed.is_empty());
@@ -1697,15 +1660,38 @@ mod tests {
         assert_eq!(PackedTrace::from_trace(&trace).to_trace(), trace);
     }
 
-    /// Splits a trace into standalone frames of at most `frame_events`
-    /// events each, the way the streaming writer does (predictors reset
-    /// per frame).
-    fn frames_of(trace: &Trace, frame_events: usize) -> Vec<PackedTrace> {
-        trace
-            .events()
-            .chunks(frame_events.max(1))
-            .map(|c| PackedTrace::from_trace(&Trace::from_events(c.to_vec())))
-            .collect()
+    /// Packs a trace into standalone frames of at most `frame_events`
+    /// events each, the way the streaming writer does (predictors reset per
+    /// frame), and lays them out back to back behind a junk prefix (so
+    /// absolute offsets are honored). Returns the bytes and frame table.
+    fn framed_bytes(trace: &Trace, frame_events: usize) -> (Vec<u8>, Vec<FrameEntry>) {
+        let mut bytes = vec![0xEE; 7];
+        let mut entries = Vec::new();
+        for chunk in trace.events().chunks(frame_events.max(1)) {
+            let frame = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+            entries.push(FrameEntry::of(&frame, bytes.len() as u64));
+            bytes.extend_from_slice(frame.payload());
+        }
+        (bytes, entries)
+    }
+
+    fn resident_of(trace: &Trace, frame_events: usize) -> FramedTrace {
+        let (bytes, entries) = framed_bytes(trace, frame_events);
+        FramedTrace::resident(Arc::new(bytes), entries).unwrap()
+    }
+
+    /// The same frames in a temp file, replayed through the read-ahead.
+    fn streamed_of(trace: &Trace, frame_events: usize) -> (FramedTrace, PathBuf) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "cbws-packed-test-{}-{}.frames",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let (bytes, entries) = framed_bytes(trace, frame_events);
+        std::fs::write(&path, bytes).unwrap();
+        (FramedTrace::read_ahead(path.clone(), entries), path)
     }
 
     /// A ~650-event trace: long enough to span several 256-event decode
@@ -1720,118 +1706,107 @@ mod tests {
         b.finish()
     }
 
+    /// Drains `trace` through `next()` after one event, then `next_batch()`,
+    /// checking the exact length on the way.
+    fn drain_mixed(trace: &FramedTrace) -> Vec<TraceEvent> {
+        let mut cursor = trace.cursor();
+        assert_eq!(cursor.len(), trace.event_count());
+        let mut out: Vec<TraceEvent> = cursor.next().into_iter().collect();
+        while let Some(chunk) = cursor.next_batch() {
+            assert!(!chunk.is_empty(), "next_batch yielded an empty chunk");
+            out.extend_from_slice(chunk);
+        }
+        assert_eq!(cursor.next_batch(), None, "exhausted cursor must stay dry");
+        assert_eq!(cursor.len(), 0);
+        out
+    }
+
     #[test]
-    fn framed_cursor_matches_unframed() {
+    fn frame_cursor_matches_unframed_from_both_sources() {
         let trace = long_sample();
         for frame_events in [1, 100, 255, 256, 257, trace.len(), trace.len() + 50] {
-            let framed = FramedTrace::from_frames(frames_of(&trace, frame_events));
-            assert_eq!(framed.event_count(), trace.len());
-            let via_next: Vec<TraceEvent> = framed.cursor().collect();
-            assert_eq!(via_next.as_slice(), trace.events(), "frame {frame_events}");
-
-            let mut cursor = framed.cursor();
-            let mut batched = Vec::new();
-            while let Some(chunk) = cursor.next_batch() {
-                assert!(!chunk.is_empty());
-                batched.extend_from_slice(chunk);
-            }
-            assert_eq!(batched.as_slice(), trace.events(), "frame {frame_events}");
-            assert_eq!(cursor.next_batch(), None);
-        }
-    }
-
-    #[test]
-    fn framed_trace_degenerate_shapes() {
-        let empty = FramedTrace::from_frames(Vec::new());
-        assert!(empty.is_empty());
-        assert_eq!(empty.cursor().next(), None);
-        assert_eq!(empty.cursor().next_batch(), None);
-
-        let trace = sample();
-        let single = FramedTrace::single(PackedTrace::from_trace(&trace));
-        assert_eq!(single.to_trace(), trace);
-        assert_eq!(single.stats(), trace.stats());
-        assert_eq!(
-            single.footprint_bytes(),
-            PackedTrace::from_trace(&trace).footprint_bytes()
-        );
-    }
-
-    /// Writes frames back to back in a temp file behind a junk prefix (so
-    /// absolute offsets are honored) and returns the frame table.
-    fn write_framed(frames: &[PackedTrace]) -> (PathBuf, Vec<FrameEntry>) {
-        use std::io::Write;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "cbws-packed-test-{}-{seq}.frames",
-            std::process::id()
-        ));
-        let mut f = File::create(&path).unwrap();
-        f.write_all(&[0xEE; 7]).unwrap();
-        let mut offset = 7u64;
-        let mut entries = Vec::new();
-        for frame in frames {
-            let p = frame.payload();
-            f.write_all(p).unwrap();
-            entries.push(FrameEntry {
-                offset,
-                len: p.len() as u64,
-                events: frame.event_count() as u64,
-                checksum: fnv1a(p),
-            });
-            offset += p.len() as u64;
-        }
-        (path, entries)
-    }
-
-    fn streamed_of(trace: &Trace, frame_events: usize) -> (StreamedTrace, PathBuf) {
-        let (path, entries) = write_framed(&frames_of(trace, frame_events));
-        (StreamedTrace::new(path.clone(), entries, trace.len()), path)
-    }
-
-    #[test]
-    fn file_cursor_matches_slice_iteration() {
-        let trace = long_sample();
-        for frame_events in [1, 200, 256, 257, trace.len()] {
+            let resident = resident_of(&trace, frame_events);
             let (streamed, path) = streamed_of(&trace, frame_events);
-            let via_next: Vec<TraceEvent> = streamed.cursor().collect();
-            assert_eq!(via_next.as_slice(), trace.events(), "frame {frame_events}");
-
-            let mut cursor = streamed.cursor();
-            let mut batched = vec![cursor.next().unwrap()];
-            while let Some(chunk) = cursor.next_batch() {
-                batched.extend_from_slice(chunk);
+            assert!(!resident.is_streamed());
+            assert!(streamed.is_streamed());
+            for framed in [&resident, &streamed] {
+                assert_eq!(framed.event_count(), trace.len());
+                let via_next: Vec<TraceEvent> = framed.cursor().collect();
+                assert_eq!(via_next.as_slice(), trace.events(), "frame {frame_events}");
+                let mixed = drain_mixed(framed);
+                assert_eq!(mixed.as_slice(), trace.events(), "frame {frame_events}");
+                framed.verify().unwrap();
             }
-            assert_eq!(batched.as_slice(), trace.events(), "frame {frame_events}");
-            let stats = cursor.stats();
-            assert_eq!(stats.frames, streamed.frames().len() as u64);
-            assert_eq!(stats.bytes, streamed.file_bytes());
-            drop(cursor);
             std::fs::remove_file(path).unwrap();
         }
     }
 
     #[test]
-    fn file_cursor_reports_stats_to_observer() {
+    fn framed_trace_degenerate_shapes() {
+        let empty = FramedTrace::resident(Arc::new(Vec::<u8>::new()), Vec::new()).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.cursor().next(), None);
+        assert_eq!(empty.cursor().next_batch(), None);
+
+        let trace = sample();
+        let single = resident_of(&trace, trace.len());
+        assert_eq!(single.to_trace(), trace);
+        assert_eq!(single.stats(), trace.stats());
+        assert_eq!(
+            single.payload_bytes(),
+            PackedTrace::from_trace(&trace).payload().len() as u64
+        );
+    }
+
+    #[test]
+    fn resident_frame_out_of_bounds_is_error() {
+        let (bytes, mut entries) = framed_bytes(&sample(), 10);
+        entries.last_mut().unwrap().len += 1;
+        assert!(matches!(
+            FramedTrace::resident(Arc::new(bytes), entries),
+            Err(FrameError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn verify_reports_the_failing_frame() {
+        let trace = long_sample();
+        let (mut bytes, entries) = framed_bytes(&trace, 100);
+        let second = entries[1];
+        bytes[second.offset as usize + 80] ^= 0x01;
+        let resident = FramedTrace::resident(Arc::new(bytes), entries.clone()).unwrap();
+        assert!(matches!(
+            resident.verify(),
+            Err(FrameError::Checksum { frame: 1, .. })
+        ));
+        // A lying event count is caught even with a matching checksum.
+        let (bytes, mut entries) = framed_bytes(&trace, 100);
+        entries[0].events += 1;
+        let resident = FramedTrace::resident(Arc::new(bytes), entries).unwrap();
+        assert!(matches!(
+            resident.verify(),
+            Err(FrameError::EventCount { frame: 0 })
+        ));
+    }
+
+    #[test]
+    fn streamed_cursor_reports_stats_to_observer() {
         use std::sync::Mutex;
         let trace = long_sample();
         let (streamed, path) = streamed_of(&trace, 100);
         let seen: Arc<Mutex<Vec<StreamStats>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let streamed = streamed.with_observer(Arc::new(move |s| sink.lock().unwrap().push(s)));
-        let n: usize = streamed.cursor().count();
-        assert_eq!(n, trace.len());
+        assert_eq!(streamed.cursor().count(), trace.len());
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].frames, streamed.frames().len() as u64);
-        assert_eq!(seen[0].bytes, streamed.file_bytes());
+        assert_eq!(seen[0].bytes, streamed.payload_bytes());
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
-    fn file_cursor_detects_mid_replay_corruption() {
+    fn streamed_cursor_detects_mid_replay_corruption() {
         let trace = long_sample();
         let (streamed, path) = streamed_of(&trace, 100);
         // Flip one payload bit after the frame table was built: replay
@@ -1840,6 +1815,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
+        assert!(streamed.verify().is_err());
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| streamed.cursor().count()));
         assert!(outcome.is_err(), "corrupted frame must not replay");
@@ -1847,20 +1823,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_source_dispatches_both_ways() {
+    fn missing_file_fails_verify_and_replay() {
         let trace = long_sample();
-        let memory =
-            ReplaySource::Memory(Arc::new(FramedTrace::from_frames(frames_of(&trace, 200))));
-        let (streamed, path) = streamed_of(&trace, 200);
-        let disk = ReplaySource::Streamed(Arc::new(streamed));
-        assert!(!memory.is_streamed());
-        assert!(disk.is_streamed());
-        for src in [&memory, &disk] {
-            assert_eq!(EventSource::event_count(src), trace.len());
-            let events: Vec<TraceEvent> = EventSource::cursor(src).collect();
-            assert_eq!(events.as_slice(), trace.events());
-        }
-        std::fs::remove_file(path).unwrap();
+        let (streamed, path) = streamed_of(&trace, 100);
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            streamed.verify(),
+            Err(FrameError::Read { frame: 0, .. })
+        ));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| streamed.cursor().count()));
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn shared_handles_replay_like_their_target() {
+        let trace = long_sample();
+        let shared = Arc::new(resident_of(&trace, 200));
+        assert_eq!(EventSource::event_count(&shared), trace.len());
+        let events: Vec<TraceEvent> = EventSource::cursor(&shared).collect();
+        assert_eq!(events.as_slice(), trace.events());
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl TraceStats {
     }
 
     /// Computes statistics from a streamed event sequence (e.g. a
-    /// [`crate::TraceCursor`]) without materializing the events.
+    /// [`crate::FrameCursor`]) without materializing the events.
     pub fn from_event_iter(events: impl IntoIterator<Item = TraceEvent>) -> Self {
         let mut s = TraceStats {
             ws_histogram: vec![0; WS_HISTOGRAM_MAX + 1],

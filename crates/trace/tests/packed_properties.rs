@@ -3,12 +3,12 @@
 //! the payload parser against arbitrary and mutated byte buffers.
 
 use cbws_trace::{
-    fnv1a, Addr, BlockId, BranchRecord, Dependence, EventCursor, FrameEntry, MemAccess, MemKind,
-    PackedTrace, Pc, StreamedTrace, Trace, TraceEvent,
+    Addr, BlockId, BranchRecord, Dependence, EventCursor, FrameEntry, FramedTrace, MemAccess,
+    MemKind, PackedTrace, Pc, Trace, TraceEvent,
 };
 use proptest::prelude::*;
-use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     prop_oneof![
@@ -66,35 +66,40 @@ fn scratch_file(tag: &str) -> PathBuf {
     ))
 }
 
-/// Packs `events` into frames of `frame_events`, writes the payloads back
-/// to back into a scratch file (with `lead` junk bytes first, mimicking the
-/// store header), and returns the streamed handle plus the file path.
-fn write_framed(
+/// Packs `events` into frames of `frame_events` and lays the payloads out
+/// back to back (with `lead` junk bytes first, mimicking the store
+/// header). Returns the bytes and the frame table.
+fn framed_bytes(
+    events: &[TraceEvent],
+    frame_events: usize,
+    lead: usize,
+) -> (Vec<u8>, Vec<FrameEntry>) {
+    let mut bytes = vec![0xa5u8; lead];
+    let mut entries = Vec::new();
+    for chunk in events.chunks(frame_events.max(1)) {
+        let packed = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+        entries.push(FrameEntry::of(&packed, bytes.len() as u64));
+        bytes.extend_from_slice(packed.payload());
+    }
+    (bytes, entries)
+}
+
+/// The same framed bytes behind both byte sources: resident in memory,
+/// and written to a scratch file for the read-ahead. Returns the resident
+/// trace, the streamed trace, and the file path.
+fn both_sources(
     events: &[TraceEvent],
     frame_events: usize,
     lead: usize,
     tag: &str,
-) -> (StreamedTrace, PathBuf) {
+) -> (FramedTrace, FramedTrace, PathBuf) {
+    let (bytes, entries) = framed_bytes(events, frame_events, lead);
     let path = scratch_file(tag);
-    let mut file = std::fs::File::create(&path).expect("create scratch frame file");
-    file.write_all(&vec![0xa5u8; lead]).expect("lead bytes");
-    let mut entries = Vec::new();
-    let mut offset = lead as u64;
-    for chunk in events.chunks(frame_events.max(1)) {
-        let packed = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
-        let payload = packed.payload();
-        file.write_all(payload).expect("frame payload");
-        entries.push(FrameEntry {
-            offset,
-            len: payload.len() as u64,
-            events: chunk.len() as u64,
-            checksum: fnv1a(payload),
-        });
-        offset += payload.len() as u64;
-    }
-    drop(file);
+    std::fs::write(&path, &bytes).expect("write scratch frame file");
+    let resident = FramedTrace::resident(Arc::new(bytes), entries.clone()).expect("in bounds");
     (
-        StreamedTrace::new(path.clone(), entries, events.len()),
+        resident,
+        FramedTrace::read_ahead(path.clone(), entries),
         path,
     )
 }
@@ -144,12 +149,13 @@ proptest! {
         }
     }
 
-    /// The disk-backed `FileCursor` is record-identical to the in-memory
-    /// `TraceCursor` and `SliceCursor` at every interesting boundary:
-    /// empty traces, one event, frame size ± 1, and decode batch size ± 1
-    /// (`frame_events = 256` puts the 255/256/257 lengths right on the
-    /// cursor's internal batch boundary). Both the event-at-a-time and the
-    /// batch interfaces must agree.
+    /// The one frame cursor is record-identical across both byte sources
+    /// — resident and read-ahead over the same framed file — to the source
+    /// `Vec` (what `SliceCursor` yields) and to the unframed `PackedTrace`,
+    /// at every interesting boundary: empty traces, one event, frame size
+    /// ± 1, and decode batch size ± 1 (`frame_events = 256` puts the
+    /// 255/256/257 lengths right on the cursor's internal batch boundary).
+    /// Both the event-at-a-time and the batch interfaces must agree.
     #[test]
     fn file_cursor_is_record_identical_at_boundaries(
         pool in proptest::collection::vec(event_strategy(), 769..770),
@@ -158,30 +164,33 @@ proptest! {
         // 769 = 3 * 256 + 1, the largest boundary length below.
         let frame_events = if pick < 8 { 16 } else { 256 };
         let events = &pool[..boundary_lens(frame_events)[pick % 8]];
-        let (streamed, path) = write_framed(events, frame_events, 31, "ident");
-        // Event-at-a-time: identical to the source Vec (and therefore to
-        // SliceCursor, which yields exactly that Vec).
-        let via_next: Vec<TraceEvent> = streamed.cursor().collect();
-        prop_assert_eq!(&via_next[..], events);
-        // Batch interface: concatenation of batches is the same sequence
-        // the unframed TraceCursor produces.
-        let mut via_batch: Vec<TraceEvent> = Vec::new();
-        let mut cursor = streamed.cursor();
-        while let Some(batch) = cursor.next_batch() {
-            via_batch.extend_from_slice(batch);
-        }
-        drop(cursor);
+        let (resident, streamed, path) = both_sources(events, frame_events, 31, "ident");
         let unframed = PackedTrace::from_trace(&Trace::from_events(events.to_vec()));
         let reference: Vec<TraceEvent> = unframed.cursor().collect();
-        prop_assert_eq!(&via_batch, &reference);
+        prop_assert_eq!(&reference[..], events);
+        for framed in [&resident, &streamed] {
+            prop_assert_eq!(framed.event_count(), events.len());
+            // Event-at-a-time.
+            let via_next: Vec<TraceEvent> = framed.cursor().collect();
+            prop_assert_eq!(&via_next[..], events);
+            // Batch interface.
+            let mut via_batch: Vec<TraceEvent> = Vec::new();
+            let mut cursor = framed.cursor();
+            while let Some(batch) = cursor.next_batch() {
+                via_batch.extend_from_slice(batch);
+            }
+            drop(cursor);
+            prop_assert_eq!(&via_batch, &reference);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     /// Flipping any single bit of any frame payload on disk is caught
     /// during streamed replay: the per-frame FNV-1a checksum changes under
-    /// any one-byte mutation (every fold step is bijective), so the cursor
-    /// panics instead of silently replaying corrupt events. The trace
-    /// store turns that detection into invalidate-and-regenerate; see the
+    /// any one-byte mutation (every fold step is bijective), so the
+    /// read-ahead cursor panics instead of silently replaying corrupt
+    /// events. The trace store turns the same detection at open
+    /// (`FramedTrace::verify`) into invalidate-and-regenerate; see the
     /// `cbws-workloads` store tests.
     #[test]
     fn file_cursor_detects_single_bit_corruption(
@@ -191,12 +200,13 @@ proptest! {
         bit in 0u8..8,
     ) {
         let lead = 31usize;
-        let (streamed, path) = write_framed(&events, frame_events, lead, "corrupt");
+        let (_, streamed, path) = both_sources(&events, frame_events, lead, "corrupt");
         let mut bytes = std::fs::read(&path).expect("read framed file");
         // Flip a bit somewhere inside the frame payloads (past the lead).
         let at = lead + pos % (bytes.len() - lead);
         bytes[at] ^= 1 << bit;
         std::fs::write(&path, &bytes).expect("write corrupted file");
+        prop_assert!(streamed.verify().is_err(), "verify must catch byte {}", at);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             streamed.cursor().count()
         }));

@@ -16,11 +16,31 @@
 //!   completed chunk of `frame_events` events is packed and flushed to disk
 //!   immediately, so generating a `Scale::Huge` trace never holds more than
 //!   one frame of events in memory.
-//! * **Replaying** can stream too. [`TraceStore::replay_source`] serves
-//!   files larger than a caller-chosen byte threshold as a
-//!   [`cbws_trace::StreamedTrace`] whose cursor reads frames through a
-//!   double-buffered read-ahead thread, instead of mapping the whole file.
-//!   Smaller files load zero-copy through a memory map as before.
+//! * **Replaying** can stream too. Every open returns one kind of handle,
+//!   a [`cbws_trace::FramedTrace`]; only its byte source differs, chosen
+//!   from the file size. [`TraceStore::replay_source`] leaves files larger
+//!   than a caller-chosen byte threshold on disk, read frame by frame
+//!   through a double-buffered read-ahead thread; smaller files (and every
+//!   [`TraceStore::get`]) are memory-mapped, and their frames replay as
+//!   zero-copy views of the mapping.
+//!
+//! # Opening
+//!
+//! There is one open path, whichever entry point asks:
+//!
+//! 1. read the header, trailer and footer (`read_meta`);
+//! 2. on a miss or an invalid file, stream-generate the file and serve it
+//!    without re-reading (the frame table came from the writer);
+//! 3. otherwise check every frame ([`FramedTrace::verify`]: checksum,
+//!    payload parse, event count against the footer) — through the
+//!    read-ahead for a streamed file, so at most a few frames are resident
+//!    — and regenerate on any failure;
+//! 4. return the handle.
+//!
+//! One memo map holds the handle per `(workload, scale)`; its per-key slot
+//! is the gate that makes concurrent callers open a file once. When the
+//! store directory is unwritable the writer emits the same file layout
+//! into heap memory instead, and the handle is resident over that buffer.
 //!
 //! # File format (version 4, little-endian)
 //!
@@ -53,10 +73,10 @@
 //! corruption, version skew, hash skew — is counted as
 //! `trace_store.invalidate`, reported with a `warn!`, and falls back to
 //! regeneration (which rewrites the file); it never panics and never
-//! changes simulation results. Streamed opens run a bounded sequential
-//! validation pass (one frame resident at a time) before handing out a
-//! cursor, so a corrupt frame is caught at open — not mid-replay — and
-//! triggers the same regeneration path.
+//! changes simulation results. Streamed opens verify every frame too, so a
+//! corrupt frame is caught at open — not mid-replay — and triggers the
+//! same regeneration path; a streamed cursor re-checks each frame's
+//! checksum as it arrives and panics if the file changed since.
 //!
 //! # Telemetry
 //!
@@ -73,12 +93,11 @@
 use crate::{Scale, WorkloadSpec};
 use cbws_telemetry::{warn, Spans, Telemetry};
 use cbws_trace::{
-    FrameEntry, FramedTrace, PackedTrace, ReplaySource, StreamObserver, StreamedTrace, Trace,
-    TraceBuilder, TraceEvent,
+    FrameEntry, FramedTrace, PackedTrace, StreamObserver, Trace, TraceBuilder, TraceEvent,
 };
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write as _};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -224,23 +243,18 @@ fn invalid<T>(reason: impl Into<String>) -> Result<T, LoadError> {
     Err(LoadError::Invalid(reason.into()))
 }
 
-/// Everything the header, footer, and trailer say about a store file,
-/// gathered with three bounded reads — no frame data touched.
+/// What the header, footer, and trailer say about a store file, gathered
+/// with three bounded reads — no frame data touched.
 struct FileMeta {
-    /// Absolute byte offset of the first frame.
-    header_len: u64,
     /// Frame table with absolute file offsets.
     entries: Vec<FrameEntry>,
-    /// Events across all frames.
-    total_events: usize,
     /// Whole-file size the metadata was validated against.
     file_len: u64,
 }
 
 /// Parses and verifies a store file's header, footer, and trailer against
-/// the expected key. Frame payloads are *not* read — callers verify them
-/// while adopting the frames ([`load_memory`]) or in the streamed
-/// validation pass ([`validate_frames`]).
+/// the expected key. Frame payloads are *not* read; the per-frame check is
+/// [`FramedTrace::verify`].
 fn read_meta(
     path: &Path,
     want_hash: u64,
@@ -303,15 +317,20 @@ fn read_meta(
     let total_events = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
     let frame_count = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
     let footer_fnv = u64::from_le_bytes(trailer[16..24].try_into().unwrap());
+    // The trailer is outside the footer checksum, so its frame count is
+    // untrusted: the footer size is a checked product, compared against
+    // the bytes actually between header and trailer with no addition that
+    // could overflow.
+    let room = file_len - header_len - TRAILER_LEN;
     let footer_len = match frame_count.checked_mul(FOOTER_ENTRY_LEN) {
-        Some(n) if n + TRAILER_LEN <= file_len - header_len => n,
+        Some(n) if n <= room => n,
         _ => {
             return invalid(format!(
                 "frame count {frame_count} disagrees with file size"
             ))
         }
     };
-    let footer_start = file_len - TRAILER_LEN - footer_len;
+    let footer_start = header_len + (room - footer_len);
 
     let mut footer = vec![0u8; footer_len as usize];
     if f.seek(SeekFrom::Start(footer_start)).is_err() || f.read_exact(&mut footer).is_err() {
@@ -346,172 +365,53 @@ fn read_meta(
     if events_sum != total_events {
         return invalid("frame event counts disagree with the trailer total");
     }
-    let total_events = match usize::try_from(total_events) {
-        Ok(n) => n,
-        Err(_) => return invalid("event count too large for this platform"),
-    };
-    Ok(FileMeta {
-        header_len,
-        entries,
-        total_events,
-        file_len,
-    })
-}
-
-/// Fully loads and verifies a store file into memory, returning the framed
-/// trace backed by the (usually memory-mapped) file bytes.
-fn load_memory(
-    path: &Path,
-    want_hash: u64,
-    want_name: &str,
-    want_scale: Scale,
-    spans: &Spans,
-) -> Result<FramedTrace, LoadError> {
-    let meta = read_meta(path, want_hash, want_name, want_scale)?;
-    let data = match read_file_shared(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
-        Err(e) => return invalid(format!("unreadable: {e}")),
-    };
-    if (*data).as_ref().len() as u64 != meta.file_len {
-        return invalid("file changed while loading");
+    if usize::try_from(total_events).is_err() {
+        return invalid("event count too large for this platform");
     }
-    let _validate = spans.begin("trace.validate");
-    let mut frames = Vec::with_capacity(meta.entries.len());
-    for (i, e) in meta.entries.iter().enumerate() {
-        let (off, len) = (e.offset as usize, e.len as usize);
-        let payload = &(*data).as_ref()[off..off + len];
-        let got = fnv1a(payload);
-        if got != e.checksum {
-            return invalid(format!(
-                "frame {i} checksum {got:#018x} != stored {:#018x}",
-                e.checksum
-            ));
-        }
-        let packed = match PackedTrace::from_shared_payload(data.clone(), off, len) {
-            Ok(p) => p,
-            Err(err) => return invalid(format!("frame {i} rejected: {err}")),
-        };
-        if packed.event_count() as u64 != e.events {
-            return invalid(format!("frame {i} event count disagrees with the footer"));
-        }
-        frames.push(packed);
-    }
-    let framed = FramedTrace::from_frames(frames);
-    debug_assert_eq!(framed.event_count(), meta.total_events);
-    Ok(framed)
-}
-
-/// The bounded sequential validation pass a streamed open runs before
-/// handing out cursors: one frame resident at a time, checksum + full
-/// parse + event-count check. `Err` carries a human-readable reason.
-fn validate_frames(path: &Path, meta: &FileMeta) -> Result<(), String> {
-    let mut f = File::open(path).map_err(|e| format!("unreadable: {e}"))?;
-    let len = f.metadata().map_err(|e| format!("unreadable: {e}"))?.len();
-    if len != meta.file_len {
-        return Err("file changed while validating".into());
-    }
-    f.seek(SeekFrom::Start(meta.header_len))
-        .map_err(|e| format!("unseekable: {e}"))?;
-    for (i, e) in meta.entries.iter().enumerate() {
-        let mut buf = vec![0u8; e.len as usize];
-        f.read_exact(&mut buf)
-            .map_err(|err| format!("frame {i} unreadable: {err}"))?;
-        let got = fnv1a(&buf);
-        if got != e.checksum {
-            return Err(format!(
-                "frame {i} checksum {got:#018x} != stored {:#018x}",
-                e.checksum
-            ));
-        }
-        let packed = PackedTrace::from_payload(buf.into_boxed_slice())
-            .map_err(|err| format!("frame {i} rejected: {err}"))?;
-        if packed.event_count() as u64 != e.events {
-            return Err(format!("frame {i} event count disagrees with the footer"));
-        }
-    }
-    Ok(())
-}
-
-/// Packs one chunk of generator output as a standalone frame.
-fn pack_frame(chunk: &[TraceEvent]) -> PackedTrace {
-    PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()))
+    Ok(FileMeta { entries, file_len })
 }
 
 /// Streaming-write state shared with the builder's chunk sink: frames are
-/// packed and flushed as they complete, and only their footer entries are
-/// retained in memory.
-struct FrameSink {
-    file: File,
+/// packed and written to `out` as they complete, and only their footer
+/// entries are retained in memory.
+struct FrameSink<W> {
+    out: W,
     entries: Vec<FrameEntry>,
     offset: u64,
     error: Option<std::io::Error>,
 }
 
-impl FrameSink {
+impl<W: Write> FrameSink<W> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.out.write_all(bytes)?;
+        self.offset += bytes.len() as u64;
+        Ok(())
+    }
+
     fn push_frame(&mut self, chunk: &[TraceEvent]) {
         if self.error.is_some() || chunk.is_empty() {
             return;
         }
-        let packed = pack_frame(chunk);
-        let payload = packed.payload();
-        if let Err(e) = self.file.write_all(payload) {
-            self.error = Some(e);
-            return;
+        let packed = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+        let entry = FrameEntry::of(&packed, self.offset);
+        match self.write(packed.payload()) {
+            Ok(()) => self.entries.push(entry),
+            Err(e) => self.error = Some(e),
         }
-        self.entries.push(FrameEntry {
-            offset: self.offset,
-            len: payload.len() as u64,
-            events: packed.event_count() as u64,
-            checksum: fnv1a(payload),
-        });
-        self.offset += payload.len() as u64;
     }
 }
 
-/// Generates frames in memory through the same streaming chunker the
-/// on-disk writer uses — the fallback when the store directory is not
-/// writable, so `get` still serves a framed trace without persistence.
-fn generate_frames_in_memory(
-    workload: &WorkloadSpec,
-    scale: Scale,
-    frame_events: usize,
-) -> FramedTrace {
-    let frames: Arc<Mutex<Vec<PackedTrace>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&frames);
-    let mut tb = TraceBuilder::streaming(
-        frame_events,
-        Box::new(move |chunk| {
-            if !chunk.is_empty() {
-                sink.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(pack_frame(chunk));
-            }
-        }),
-    );
-    workload.emit(scale, &mut tb);
-    tb.try_finish_stream()
-        .expect("kernel emitters produce well-formed traces");
-    let frames = Arc::try_unwrap(frames)
-        .expect("builder dropped its sink")
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    FramedTrace::from_frames(frames)
-}
-
-type Slot = Arc<OnceLock<Arc<FramedTrace>>>;
-
-/// A memoized streamed-open decision: `Some` holds the shared streamed
-/// handle, `None` means the in-memory path serves this key.
-type StreamDecision = Option<Arc<StreamedTrace>>;
+/// One memo slot per key: the handle last opened for it. Its mutex is the
+/// gate that makes concurrent callers for one key open (or regenerate) the
+/// file once.
+type Slot = Arc<Mutex<Option<Arc<FramedTrace>>>>;
 
 /// A persistent, keyed store of framed packed traces. See the module docs.
 ///
 /// One instance fronts one directory. Within the process it also memoizes
-/// loaded traces per `(workload, scale)` (packed traces are ~4× smaller
+/// the opened handle per `(workload, scale)` (packed traces are ~4× smaller
 /// than the `Vec<TraceEvent>` they replace, and memory-mapped files are
-/// reclaimable clean pages, so no eviction budget is needed), and memoizes
-/// the streamed-or-resident decision [`TraceStore::replay_source`] makes.
+/// reclaimable clean pages, so no eviction budget is needed).
 pub struct TraceStore {
     dir: PathBuf,
     /// XORed into every [`workload_hash`]; always 0 outside tests, which
@@ -523,14 +423,6 @@ pub struct TraceStore {
     telemetry: Arc<Mutex<Telemetry>>,
     spans: Arc<Mutex<Spans>>,
     map: Mutex<HashMap<(&'static str, Scale), Slot>>,
-    /// Memoized streamed-open decisions: `Some` holds the shared streamed
-    /// handle, `None` records that the file was below the caller's
-    /// threshold (or streaming failed) and the in-memory path serves it.
-    streamed: Mutex<HashMap<(&'static str, Scale), StreamDecision>>,
-    /// Serializes streamed opens so concurrent workers validate or
-    /// regenerate a file once, mirroring what the `OnceLock` slots do for
-    /// in-memory loads.
-    stream_gate: Mutex<()>,
 }
 
 impl TraceStore {
@@ -550,8 +442,6 @@ impl TraceStore {
             telemetry: Arc::new(Mutex::new(Telemetry::disabled())),
             spans: Arc::new(Mutex::new(Spans::disabled())),
             map: Mutex::new(HashMap::new()),
-            streamed: Mutex::new(HashMap::new()),
-            stream_gate: Mutex::new(()),
         }
     }
 
@@ -602,87 +492,61 @@ impl TraceStore {
         self.dir.join(format!("{name}-{scale}.cbwstrace"))
     }
 
-    /// The in-memory framed trace for `(workload, scale)`: from process
-    /// memory, else from a verified store file, else stream-generated to
-    /// disk and adopted. Concurrent callers for one key block on a single
-    /// load/generation.
+    /// The resident framed trace for `(workload, scale)`: from process
+    /// memory, else from a verified store file (memory-mapped), else
+    /// stream-generated to disk and mapped. A key held streamed by an
+    /// earlier [`replay_source`](TraceStore::replay_source) is reopened
+    /// resident. Concurrent callers for one key block on a single open.
     pub fn get(&self, workload: &'static WorkloadSpec, scale: Scale) -> Arc<FramedTrace> {
-        let slot = {
-            let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            map.entry((workload.name, scale))
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
-        slot.get_or_init(|| Arc::new(self.load_or_generate(workload, scale)))
-            .clone()
+        self.memoized(workload, scale, None)
     }
 
-    /// Picks how `(workload, scale)` should be replayed: resident in memory
-    /// (small traces, or already loaded) or streamed from disk through a
-    /// read-ahead cursor (store files larger than `stream_threshold_bytes`).
+    /// The handle `(workload, scale)` replays from: whatever this process
+    /// already holds for the key, else a freshly opened one whose bytes
+    /// stay on disk (read through the read-ahead) when the store file is
+    /// larger than `stream_threshold_bytes`, and are mapped resident
+    /// otherwise.
     ///
-    /// The streamed path never materializes the trace: a missing or invalid
-    /// file is stream-regenerated frame by frame, an existing file passes a
-    /// bounded validation pass, and the returned
-    /// [`cbws_trace::StreamedTrace`] reads one frame at a time during
-    /// replay. Either way the replayed events are identical to the
-    /// in-memory path. The decision is memoized per key for the life of the
-    /// process (first caller's threshold wins).
+    /// The streamed side never materializes the trace: a missing or invalid
+    /// file is stream-regenerated frame by frame, and an existing file's
+    /// frames are checked one at a time. Either way the replayed events are
+    /// identical to [`get`](TraceStore::get)'s. The handle is memoized per
+    /// key for the life of the process (first caller's threshold wins).
     pub fn replay_source(
         &self,
         workload: &'static WorkloadSpec,
         scale: Scale,
         stream_threshold_bytes: u64,
-    ) -> ReplaySource {
-        // Already resident: replaying from memory is free.
-        if let Some(t) = self.memoized(workload.name, scale) {
-            return ReplaySource::Memory(t);
-        }
-        if let Some(decision) = self.streamed_decision(workload.name, scale) {
-            return self.decided(workload, scale, decision);
-        }
-        let gate = self.stream_gate.lock().unwrap_or_else(|e| e.into_inner());
-        // Double-check: another worker may have decided while we waited.
-        if let Some(decision) = self.streamed_decision(workload.name, scale) {
-            drop(gate);
-            return self.decided(workload, scale, decision);
-        }
-        let decision = self.open_streamed_or_generate(workload, scale, stream_threshold_bytes);
-        self.streamed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((workload.name, scale), decision.clone());
-        drop(gate);
-        self.decided(workload, scale, decision)
+    ) -> Arc<FramedTrace> {
+        self.memoized(workload, scale, Some(stream_threshold_bytes))
     }
 
-    fn decided(
+    /// The memoized handle for a key, opening one if there is none — or if
+    /// the caller needs a resident handle (`stream_threshold` `None`) and
+    /// the memo holds a streamed one.
+    fn memoized(
         &self,
         workload: &'static WorkloadSpec,
         scale: Scale,
-        decision: Option<Arc<StreamedTrace>>,
-    ) -> ReplaySource {
-        match decision {
-            Some(s) => ReplaySource::Streamed(s),
-            None => ReplaySource::Memory(self.get(workload, scale)),
+        stream_threshold: Option<u64>,
+    ) -> Arc<FramedTrace> {
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry((workload.name, scale))
+                .or_default(),
+        );
+        let mut held = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = held
+            .as_ref()
+            .filter(|t| stream_threshold.is_some() || !t.is_streamed())
+        {
+            return Arc::clone(t);
         }
-    }
-
-    fn memoized(&self, name: &'static str, scale: Scale) -> Option<Arc<FramedTrace>> {
-        let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&(name, scale)).and_then(|s| s.get().cloned())
-    }
-
-    fn streamed_decision(
-        &self,
-        name: &'static str,
-        scale: Scale,
-    ) -> Option<Option<Arc<StreamedTrace>>> {
-        self.streamed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(name, scale))
-            .cloned()
+        let opened = Arc::new(self.open(workload, scale, stream_threshold.unwrap_or(u64::MAX)));
+        *held = Some(Arc::clone(&opened));
+        opened
     }
 
     /// Drops the in-process memoization (files stay). Subsequent `get`s
@@ -690,32 +554,43 @@ impl TraceStore {
     /// tests to simulate a fresh process.
     pub fn drop_memory(&self) {
         self.map.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.streamed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 
-    fn load_or_generate(&self, workload: &'static WorkloadSpec, scale: Scale) -> FramedTrace {
+    /// The one open path: read the file's metadata, regenerate it on a
+    /// miss or an invalid file, otherwise check every frame, and return a
+    /// handle whose byte source [`handle`](TraceStore::handle) picks by
+    /// file size. Unwritable directories fall back to the same bytes in
+    /// heap memory.
+    fn open(
+        &self,
+        workload: &'static WorkloadSpec,
+        scale: Scale,
+        stream_threshold: u64,
+    ) -> FramedTrace {
         let telemetry = self.telemetry();
         let spans = self.spans();
         let hash = workload_hash(workload) ^ self.hash_salt;
         let path = self.path_for(workload.name, scale);
         let started = Instant::now();
-        let loaded = {
+        let stored = {
             let load_span = spans.begin("trace.load");
             load_span.attr("workload", workload.name);
-            load_memory(&path, hash, workload.name, scale, &spans)
+            read_meta(&path, hash, workload.name, scale).and_then(|meta| {
+                let trace = self
+                    .handle(&path, meta, stream_threshold, workload.name)
+                    .or_else(|e| invalid(format!("unreadable: {e}")))?;
+                let _validate = spans.begin("trace.validate");
+                trace.verify().or_else(|e| invalid(e.to_string()))?;
+                Ok(trace)
+            })
         };
-        match loaded {
-            Ok(framed) => {
+        match stored {
+            Ok(trace) => {
                 telemetry.count("trace_store.hit", 1);
                 telemetry.count("trace_store.load_us", started.elapsed().as_micros() as u64);
-                return framed;
+                return trace;
             }
-            Err(LoadError::Missing) => {
-                telemetry.count("trace_store.miss", 1);
-            }
+            Err(LoadError::Missing) => telemetry.count("trace_store.miss", 1),
             Err(LoadError::Invalid(reason)) => {
                 telemetry.count("trace_store.invalidate", 1);
                 warn!(
@@ -725,39 +600,54 @@ impl TraceStore {
                 let _ = std::fs::remove_file(&path);
             }
         }
-        match self.generate_file(workload, scale, hash, &path) {
-            Ok(_) => {
-                let adopted = {
-                    let load_span = spans.begin("trace.load");
-                    load_span.attr("workload", workload.name);
-                    load_memory(&path, hash, workload.name, scale, &spans)
-                };
-                match adopted {
-                    Ok(framed) => framed,
-                    Err(_) => {
-                        warn!(
-                            "[trace-store] just-written {} failed to load back; \
-                             serving from memory",
-                            path.display()
-                        );
-                        generate_frames_in_memory(workload, scale, self.frame_events)
-                    }
-                }
-            }
+        // A file this process just wrote needs no per-frame check: its
+        // frame table came from the writer itself.
+        let written = self
+            .generate_file(workload, scale, hash, &path)
+            .and_then(|meta| self.handle(&path, meta, stream_threshold, workload.name));
+        match written {
+            Ok(trace) => trace,
             Err(e) => {
                 warn!(
                     "[trace-store] cannot write {}: {e}; continuing without persistence",
                     path.display()
                 );
-                generate_frames_in_memory(workload, scale, self.frame_events)
+                let (bytes, meta) = self
+                    .write_trace(workload, scale, hash, Vec::new())
+                    .expect("kernel emitters produce well-formed traces");
+                FramedTrace::resident(Arc::new(bytes), meta.entries)
+                    .expect("frames lie inside the buffer they were written to")
             }
         }
     }
 
-    /// Stream-generates `(workload, scale)` straight to its store file:
-    /// header first, frames flushed as the kernel emits them, footer +
-    /// trailer on completion, then an atomic rename into place. Peak memory
-    /// is one frame regardless of trace length.
+    /// Wraps a store file's frame table in a handle. The file size picks
+    /// the byte source: above `stream_threshold` the frames stay on disk
+    /// behind the read-ahead, otherwise the file is mapped and the frames
+    /// are zero-copy views of the mapping.
+    fn handle(
+        &self,
+        path: &Path,
+        meta: FileMeta,
+        stream_threshold: u64,
+        workload: &'static str,
+    ) -> std::io::Result<FramedTrace> {
+        if meta.file_len > stream_threshold {
+            return Ok(FramedTrace::read_ahead(path.to_path_buf(), meta.entries)
+                .with_observer(self.stream_observer(workload)));
+        }
+        let data = read_file_shared(path)?;
+        let bad = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
+        if (*data).as_ref().len() as u64 != meta.file_len {
+            return Err(bad("file changed while loading".into()));
+        }
+        FramedTrace::resident(data, meta.entries).map_err(|e| bad(e.to_string()))
+    }
+
+    /// Stream-generates `(workload, scale)` straight to its store file
+    /// through [`write_trace`](TraceStore::write_trace), then renames it
+    /// into place atomically. Peak memory is one frame regardless of trace
+    /// length.
     fn generate_file(
         &self,
         workload: &'static WorkloadSpec,
@@ -765,176 +655,109 @@ impl TraceStore {
         hash: u64,
         path: &Path,
     ) -> std::io::Result<FileMeta> {
-        let telemetry = self.telemetry();
-        let spans = self.spans();
         std::fs::create_dir_all(&self.dir)?;
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let started = Instant::now();
-        let result = (|| -> std::io::Result<FileMeta> {
-            let mut header = Vec::with_capacity(32 + workload.name.len());
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&hash.to_le_bytes());
-            header.push(scale_code(scale));
-            header.extend_from_slice(&(workload.name.len() as u16).to_le_bytes());
-            header.extend_from_slice(workload.name.as_bytes());
-            header.extend_from_slice(&(self.frame_events as u32).to_le_bytes());
-            let header_len = header.len() as u64;
-
-            let mut file = File::create(&tmp)?;
-            file.write_all(&header)?;
-            let sink = Arc::new(Mutex::new(FrameSink {
-                file,
-                entries: Vec::new(),
-                offset: header_len,
-                error: None,
-            }));
-
-            let gen_span = spans.begin("trace.generate");
-            gen_span.attr("workload", workload.name);
-            let chunk_sink = Arc::clone(&sink);
-            let mut tb = TraceBuilder::streaming(
-                self.frame_events,
-                Box::new(move |chunk| {
-                    chunk_sink
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_frame(chunk);
-                }),
-            );
-            workload.emit(scale, &mut tb);
-            let total = tb.try_finish_stream().map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("kernel emitted a malformed trace: {e}"),
-                )
-            })?;
-            drop(gen_span);
-            telemetry.count(
-                "trace_store.generate_us",
-                started.elapsed().as_micros() as u64,
-            );
-
-            let sink = match Arc::try_unwrap(sink) {
-                Ok(s) => s.into_inner().unwrap_or_else(|e| e.into_inner()),
-                Err(_) => unreachable!("builder dropped its sink"),
-            };
-            if let Some(e) = sink.error {
-                return Err(e);
-            }
-            debug_assert_eq!(
-                sink.entries.iter().map(|e| e.events).sum::<u64>(),
-                total,
-                "flushed frames must account for every emitted event"
-            );
-
-            let write_span = spans.begin("trace.write");
-            let mut tail = Vec::with_capacity(sink.entries.len() * FOOTER_ENTRY_LEN as usize + 24);
-            for e in &sink.entries {
-                tail.extend_from_slice(&e.len.to_le_bytes());
-                tail.extend_from_slice(&e.events.to_le_bytes());
-                tail.extend_from_slice(&e.checksum.to_le_bytes());
-            }
-            let footer_fnv = fnv1a(&tail);
-            tail.extend_from_slice(&total.to_le_bytes());
-            tail.extend_from_slice(&(sink.entries.len() as u64).to_le_bytes());
-            tail.extend_from_slice(&footer_fnv.to_le_bytes());
-            let mut file = sink.file;
-            file.write_all(&tail)?;
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(&tmp, path)?;
-            drop(write_span);
-            telemetry.count("trace_store.write", 1);
-
-            Ok(FileMeta {
-                header_len,
-                entries: sink.entries,
-                total_events: total as usize,
-                file_len: sink.offset + tail.len() as u64,
-            })
-        })();
+        let result = File::create(&tmp)
+            .and_then(|file| self.write_trace(workload, scale, hash, file))
+            .and_then(|(file, meta)| {
+                file.sync_all()?;
+                drop(file);
+                std::fs::rename(&tmp, path)?;
+                self.telemetry().count("trace_store.write", 1);
+                Ok(meta)
+            });
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
         result
     }
 
-    /// The slow path of [`TraceStore::replay_source`]: ensure a valid store
-    /// file exists (stream-generating if needed), then decide by size.
-    /// `Some` is a validated streamed handle; `None` means "serve from
-    /// memory" (below threshold, or streaming infrastructure failed).
-    fn open_streamed_or_generate(
+    /// Writes the whole store file for `(workload, scale)` to `out`:
+    /// header first, frames as the kernel emits them, then footer and
+    /// trailer. Returns `out` and the file's metadata (offsets relative to
+    /// the start of `out`).
+    fn write_trace<W: Write + Send + 'static>(
         &self,
         workload: &'static WorkloadSpec,
         scale: Scale,
-        stream_threshold_bytes: u64,
-    ) -> Option<Arc<StreamedTrace>> {
+        hash: u64,
+        out: W,
+    ) -> std::io::Result<(W, FileMeta)> {
         let telemetry = self.telemetry();
         let spans = self.spans();
-        let hash = workload_hash(workload) ^ self.hash_salt;
-        let path = self.path_for(workload.name, scale);
         let started = Instant::now();
-        let generate = |why: Option<&str>| -> Option<FileMeta> {
-            if let Some(reason) = why {
-                telemetry.count("trace_store.invalidate", 1);
-                warn!(
-                    "[trace-store] discarding {}: {reason}; regenerating",
-                    path.display()
-                );
-                let _ = std::fs::remove_file(&path);
-            }
-            match self.generate_file(workload, scale, hash, &path) {
-                Ok(meta) => Some(meta),
-                Err(e) => {
-                    warn!(
-                        "[trace-store] cannot write {}: {e}; replaying from memory",
-                        path.display()
-                    );
-                    None
-                }
-            }
+        let mut header = Vec::with_capacity(32 + workload.name.len());
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&hash.to_le_bytes());
+        header.push(scale_code(scale));
+        header.extend_from_slice(&(workload.name.len() as u16).to_le_bytes());
+        header.extend_from_slice(workload.name.as_bytes());
+        header.extend_from_slice(&(self.frame_events as u32).to_le_bytes());
+        let mut sink = FrameSink {
+            out,
+            entries: Vec::new(),
+            offset: 0,
+            error: None,
         };
-        let (meta, fresh) = match read_meta(&path, hash, workload.name, scale) {
-            Ok(m) => (m, false),
-            Err(LoadError::Missing) => {
-                telemetry.count("trace_store.miss", 1);
-                (generate(None)?, true)
-            }
-            Err(LoadError::Invalid(reason)) => (generate(Some(&reason))?, true),
+        sink.write(&header)?;
+        let sink = Arc::new(Mutex::new(sink));
+
+        let gen_span = spans.begin("trace.generate");
+        gen_span.attr("workload", workload.name);
+        let chunk_sink = Arc::clone(&sink);
+        let mut tb = TraceBuilder::streaming(
+            self.frame_events,
+            Box::new(move |chunk| {
+                chunk_sink
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push_frame(chunk);
+            }),
+        );
+        workload.emit(scale, &mut tb);
+        let total = tb.try_finish_stream().map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("kernel emitted a malformed trace: {e}"),
+            )
+        })?;
+        drop(gen_span);
+        telemetry.count(
+            "trace_store.generate_us",
+            started.elapsed().as_micros() as u64,
+        );
+
+        let mut sink = match Arc::try_unwrap(sink) {
+            Ok(s) => s.into_inner().unwrap_or_else(|e| e.into_inner()),
+            Err(_) => unreachable!("builder dropped its sink"),
         };
-        if meta.file_len <= stream_threshold_bytes {
-            return None;
+        if let Some(e) = sink.error.take() {
+            return Err(e);
         }
-        let meta = if fresh {
-            // Just written by this process: the footer entries came from
-            // the writer itself, no re-read needed.
-            meta
-        } else {
-            let verdict = {
-                let vspan = spans.begin("trace.validate");
-                vspan.attr("workload", workload.name);
-                validate_frames(&path, &meta)
-            };
-            match verdict {
-                Ok(()) => {
-                    telemetry.count("trace_store.hit", 1);
-                    telemetry.count("trace_store.load_us", started.elapsed().as_micros() as u64);
-                    meta
-                }
-                Err(reason) => {
-                    let meta = generate(Some(&reason))?;
-                    if meta.file_len <= stream_threshold_bytes {
-                        return None;
-                    }
-                    meta
-                }
-            }
+        debug_assert_eq!(
+            sink.entries.iter().map(|e| e.events).sum::<u64>(),
+            total,
+            "flushed frames must account for every emitted event"
+        );
+
+        let _write_span = spans.begin("trace.write");
+        let mut tail = Vec::with_capacity(sink.entries.len() * FOOTER_ENTRY_LEN as usize + 24);
+        for e in &sink.entries {
+            tail.extend_from_slice(&e.len.to_le_bytes());
+            tail.extend_from_slice(&e.events.to_le_bytes());
+            tail.extend_from_slice(&e.checksum.to_le_bytes());
+        }
+        let footer_fnv = fnv1a(&tail);
+        tail.extend_from_slice(&total.to_le_bytes());
+        tail.extend_from_slice(&(sink.entries.len() as u64).to_le_bytes());
+        tail.extend_from_slice(&footer_fnv.to_le_bytes());
+        sink.write(&tail)?;
+        let meta = FileMeta {
+            entries: sink.entries,
+            file_len: sink.offset,
         };
-        Some(Arc::new(
-            StreamedTrace::new(path, meta.entries, meta.total_events)
-                .with_observer(self.stream_observer(workload.name)),
-        ))
+        Ok((sink.out, meta))
     }
 
     /// The per-cursor-drop reporter wired into streamed traces: forwards
@@ -1173,8 +996,7 @@ mod tests {
             Scale::Tiny,
         )
         .unwrap_or_else(|_| panic!("fresh file must parse"));
-        assert_eq!(meta.entries.len(), framed.frames().len());
-        assert_eq!(meta.total_events, framed.event_count());
+        assert_eq!(meta.entries, framed.frames());
 
         // A store with a different frame size still serves the same file:
         // frame geometry is not part of the key.
@@ -1264,23 +1086,96 @@ mod tests {
     }
 
     #[test]
+    fn lying_trailer_frame_count_invalidates() {
+        let dir = scratch_dir("trailer");
+        let w = by_name("nw").unwrap();
+        let store = TraceStore::at(&dir);
+        let expect = store.get(w, Scale::Tiny).to_trace();
+        // The trailer sits outside the footer checksum. A frame count of
+        // 768614336404564650 survives `checked_mul(24)` (2^64 - 16), and
+        // adding the trailer length to that would overflow.
+        let path = store.path_for(w.name, Scale::Tiny);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - TRAILER_LEN as usize + 8;
+        bytes[at..at + 8].copy_from_slice(&768_614_336_404_564_650u64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let telemetry = Telemetry::enabled_default();
+        let store2 = TraceStore::at(&dir);
+        store2.set_telemetry(telemetry.clone());
+        let t = store2.get(w, Scale::Tiny);
+        assert_eq!(counter(&telemetry, "trace_store.invalidate"), 1);
+        assert_eq!(counter(&telemetry, "trace_store.write"), 1);
+        assert_eq!(t.to_trace(), expect);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn get_and_replay_source_share_one_memo_in_either_order() {
+        let dir = scratch_dir("order");
+        let w = by_name("stencil-default").unwrap();
+        let expect = w.generate(Scale::Tiny);
+
+        // Streamed first, then `get`: a resident handle, same events.
+        let store = TraceStore::at(&dir).with_frame_events(64);
+        let streamed = store.replay_source(w, Scale::Tiny, 0);
+        assert!(streamed.is_streamed());
+        let resident = store.get(w, Scale::Tiny);
+        assert!(!resident.is_streamed());
+        assert_eq!(drain(&streamed), drain(&resident));
+        assert_eq!(drain(&resident), expect.events());
+        // The resident handle now serves both entry points.
+        assert!(Arc::ptr_eq(
+            &store.replay_source(w, Scale::Tiny, 0),
+            &resident
+        ));
+
+        // `get` first, then `replay_source`: stays resident.
+        let store = TraceStore::at(&dir).with_frame_events(64);
+        let resident = store.get(w, Scale::Tiny);
+        let source = store.replay_source(w, Scale::Tiny, 0);
+        assert!(!source.is_streamed());
+        assert!(Arc::ptr_eq(&source, &resident));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_directory_serves_the_same_frames_from_memory() {
+        let dir = scratch_dir("unwritable");
+        // A regular file where the directory should be: nothing can be
+        // created under it.
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let w = by_name("nw").unwrap();
+        let telemetry = Telemetry::enabled_default();
+        let store = TraceStore::at(&dir).with_frame_events(64);
+        store.set_telemetry(telemetry.clone());
+        let t = store.replay_source(w, Scale::Tiny, 0);
+        assert!(!t.is_streamed(), "nothing on disk to stream from");
+        assert!(t.frames().len() > 1);
+        t.verify().unwrap();
+        assert_eq!(t.to_trace(), w.generate(Scale::Tiny));
+        assert_eq!(counter(&telemetry, "trace_store.write"), 0);
+        let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
     fn store_accesses_emit_spans() {
         let dir = scratch_dir("spans");
         let w = by_name("nw").unwrap();
         let spans = Spans::enabled();
         let store = TraceStore::at(&dir);
         store.set_spans(spans.clone());
-        store.get(w, Scale::Tiny); // miss: load attempt, generate, write, adopt
+        store.get(w, Scale::Tiny); // miss: load attempt, generate, write
         store.drop_memory();
         store.get(w, Scale::Tiny); // hit: load + validate
         let records = spans.records();
         let count = |name: &str| records.iter().filter(|r| r.name == name).count();
-        // Miss: failed load, generate, write, adopt-load (with validate).
-        // Hit: one load with validate.
-        assert_eq!(count("trace.load"), 3);
+        // Miss: failed load, generate, write (the writer's own frame table
+        // needs no re-check). Hit: one load with validate.
+        assert_eq!(count("trace.load"), 2);
         assert_eq!(count("trace.generate"), 1);
         assert_eq!(count("trace.write"), 1);
-        assert_eq!(count("trace.validate"), 2);
+        assert_eq!(count("trace.validate"), 1);
         // Validate spans nest inside their load span on the same lane.
         let validate = records.iter().find(|r| r.name == "trace.validate").unwrap();
         assert_eq!(validate.depth, 1);
