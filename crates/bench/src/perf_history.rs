@@ -36,8 +36,8 @@
 //! [`SINGLE_WORKER_OVERHEAD_CEILING`]` * serial_seconds`; and a sweep
 //! served from the persistent result store must beat the warm engine
 //! sweep by [`CACHED_SWEEP_SPEEDUP_FLOOR`]`x`. The batched lane decoder,
-//! the read-ahead file cursor, the engine fast path, and the
-//! content-addressed result store established those bounds, and ratio
+//! the read-ahead file cursor, the engine's inline single-worker run, and
+//! the content-addressed result store established those bounds, and ratio
 //! gates hold across hosts where a wall-clock mean would not.
 //!
 //! The driver is the `perf-history` binary; see its module docs for the
@@ -77,8 +77,8 @@ pub const MIN_HISTORY: usize = 3;
 pub const REPLAY_SPEEDUP_FLOOR: f64 = 1.0;
 
 /// Ceiling on `engine_warm_seconds / serial_seconds` when the recorded
-/// sweep ran with one worker: the engine's single-worker fast path bounds
-/// scheduler overhead at 2% of the serial loop. Multi-worker records skip
+/// sweep ran with one worker: a one-worker engine run, inline on the
+/// calling thread, keeps scheduler overhead within 2% of the serial loop. Multi-worker records skip
 /// this gate — their ratio measures parallel speedup, which is
 /// host-dependent.
 pub const SINGLE_WORKER_OVERHEAD_CEILING: f64 = 1.02;
@@ -420,7 +420,7 @@ pub fn check_gates(dir: &Path) -> Result<Vec<GateViolation>, String> {
                     message: format!(
                         "engine_warm_seconds {warm:.4} > {SINGLE_WORKER_OVERHEAD_CEILING} x \
                          serial_seconds {serial:.4} at workers=1 \
-                         (single-worker fast path overhead above 2%)"
+                         (single-worker engine overhead above 2%)"
                     ),
                 });
             }

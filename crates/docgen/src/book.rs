@@ -523,8 +523,8 @@ fn observability() -> String {
          | trace store | `trace.load` / `trace.generate` / `trace.write`, \
          with nested `trace.validate` under loads |\n\
          | simulator core | `core.run` per replayed trace |\n\
-         | profiler phases | `phase.<name>` mirroring each `Profiler` \
-         phase (e.g. `phase.static_tables`, `phase.sweep`) |\n\n\
+         | `all_experiments` steps | `phase.<step>` per top-level step \
+         (e.g. `phase.static_tables`, `phase.sweep`) |\n\n\
          The output is Chrome trace-event JSON: load it in Perfetto \
          (<https://ui.perfetto.dev>) or `chrome://tracing` and each worker \
          renders as its own timeline lane, so load imbalance and store \
@@ -573,7 +573,7 @@ fn perf_trends(root: &Path) -> Result<String, String> {
          must hold 70% of warm in-memory replay throughput; see \
          [the trace store](trace-store.md)), \
          `engine_warm_seconds <= 1.02 x serial_seconds` on single-worker \
-         sweep records (the engine fast path's overhead bound), and \
+         sweep records (the overhead bound of a one-worker engine run), and \
          `engine_warm_seconds / engine_cached_seconds >= 3.0` (a sweep \
          served from the [result store](result-store.md) must beat \
          re-simulation).\n",

@@ -80,15 +80,8 @@ fn main() {
 
     result!("Headline speedup under flat vs banked-DRAM memory\n\n{table}");
     save_csv("dram_model", &table);
-    let mut profiler = flat_run.profiler.clone();
-    profiler.merge(&dram_run.profiler);
-    let mut worker_stats = flat_run.worker_stats.clone();
-    for s in &dram_run.worker_stats {
-        match worker_stats.iter_mut().find(|a| a.worker == s.worker) {
-            Some(a) => a.merge(s),
-            None => worker_stats.push(s.clone()),
-        }
-    }
+    let mut run = flat_run;
+    run.merge(dram_run);
     write_session_spans();
     RunManifest::new(
         "dram_model",
@@ -97,11 +90,6 @@ fn main() {
         KINDS,
         dram_cfg,
     )
-    .with_timing(
-        flat_run.workers,
-        flat_run.wall_seconds + dram_run.wall_seconds,
-        &profiler,
-    )
-    .with_workers(&worker_stats)
+    .with_run(&run)
     .save("dram_model");
 }

@@ -83,8 +83,7 @@ fn main() {
         kinds.iter().copied(),
         SystemConfig::default(),
     )
-    .with_timing(run.workers, run.wall_seconds, &run.profiler)
-    .with_workers(&run.worker_stats)
+    .with_run(&run)
     .save("ext_comparison");
 
     // Storage context for the comparison.

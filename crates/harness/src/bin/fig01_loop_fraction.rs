@@ -37,7 +37,6 @@ fn main() {
         [PrefetcherKind::None],
         SystemConfig::default(),
     )
-    .with_timing(run.workers, run.wall_seconds, &run.profiler)
-    .with_workers(&run.worker_stats)
+    .with_run(&run)
     .save("fig01_loop_fraction");
 }

@@ -30,7 +30,6 @@ fn main() {
         PrefetcherKind::ALL,
         SystemConfig::default(),
     )
-    .with_timing(run.workers, run.wall_seconds, &run.profiler)
-    .with_workers(&run.worker_stats)
+    .with_run(&run)
     .save("fig13_timeliness");
 }

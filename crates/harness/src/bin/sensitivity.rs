@@ -11,11 +11,9 @@ use cbws_harness::experiments::{
     jobs_from_args, result_cache_from_args, save_csv, scale_from_args, session_spans,
     write_session_spans,
 };
-use cbws_harness::{
-    Engine, EngineConfig, EngineRun, PrefetcherKind, RunManifest, SystemConfig, WorkerStats,
-};
+use cbws_harness::{Engine, EngineConfig, EngineRun, PrefetcherKind, RunManifest, SystemConfig};
 use cbws_stats::{geomean, TextTable};
-use cbws_telemetry::{result, status, Profiler, Telemetry};
+use cbws_telemetry::{result, status, Telemetry};
 use cbws_workloads::{mi_suite, Scale};
 
 /// Runs the MI suite under `cfg` through the engine and returns the
@@ -47,18 +45,8 @@ fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
     status!("[sensitivity] scale = {scale}");
-    let mut profiler = Profiler::new();
-    let mut wall = 0.0;
-    let mut workers = 0;
-    let mut worker_stats: Vec<WorkerStats> = Vec::new();
-    let merge_stats = |stats: &[WorkerStats], acc: &mut Vec<WorkerStats>| {
-        for s in stats {
-            match acc.iter_mut().find(|a| a.worker == s.worker) {
-                Some(a) => a.merge(s),
-                None => acc.push(s.clone()),
-            }
-        }
-    };
+    // Every point's engine run, folded into one for the manifest.
+    let mut total = EngineRun::default();
 
     // L2 capacity sweep.
     let mut l2 = TextTable::new(vec![
@@ -70,10 +58,7 @@ fn main() {
         cfg.mem.l2.size_bytes = mb * 1024 * 1024;
         status!("[sensitivity] L2 = {mb} MB");
         let (speedup, run) = geomean_speedup(scale, cfg, jobs);
-        profiler.merge(&run.profiler);
-        wall += run.wall_seconds;
-        workers = run.workers;
-        merge_stats(&run.worker_stats, &mut worker_stats);
+        total.merge(run);
         l2.row(vec![format!("{mb} MB"), format!("{speedup:.3}")]);
     }
     result!("Sensitivity — L2 capacity (Table II point: 2 MB)\n\n{l2}");
@@ -89,10 +74,7 @@ fn main() {
         cfg.mem.memory_latency = cycles;
         status!("[sensitivity] memory = {cycles} cycles");
         let (speedup, run) = geomean_speedup(scale, cfg, jobs);
-        profiler.merge(&run.profiler);
-        wall += run.wall_seconds;
-        workers = run.workers;
-        merge_stats(&run.worker_stats, &mut worker_stats);
+        total.merge(run);
         lat.row(vec![format!("{cycles} cycles"), format!("{speedup:.3}")]);
     }
     result!("Sensitivity — memory latency (Table II point: 300 cycles)\n\n{lat}");
@@ -105,8 +87,7 @@ fn main() {
         [PrefetcherKind::Sms, PrefetcherKind::CbwsSms],
         SystemConfig::default(),
     )
-    .with_timing(workers, wall, &profiler)
-    .with_workers(&worker_stats);
+    .with_run(&total);
     write_session_spans();
     manifest.save("sensitivity_l2");
     manifest.save("sensitivity_latency");

@@ -169,9 +169,7 @@ fn main() {
                 ..EngineConfig::default()
             });
             let run = engine.run(scale, &[w], &kinds);
-            manifest = manifest
-                .with_timing(run.workers, run.wall_seconds, &run.profiler)
-                .with_workers(&run.worker_stats);
+            manifest = manifest.with_run(&run);
             run.records
         }
         _ => {

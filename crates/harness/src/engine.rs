@@ -26,13 +26,13 @@
 //! simulator replays the packed trace directly through its cursor — no
 //! `Vec<TraceEvent>` is materialized.
 //!
-//! Single-worker runs take a dedicated fast path: when the effective
-//! worker count is 1 the jobs run inline on the calling thread with one
-//! simulator and one in-order records buffer — no thread spawn, no shared
-//! mutexes, no per-job queue-depth gauge, no merge sort — so engine
-//! `--jobs 1` tracks the serial sweep within the perf-history gate's 2%
-//! (`engine_warm_seconds` vs `serial_seconds` in BENCH_sweep.json). Jobs
-//! on that path carry a `fast_path=true` span attribute.
+//! There is one job loop, the worker body: claim an index, run the job,
+//! account it, tell the observer, record the `engine.*` metrics. A run
+//! with one effective worker calls that body inline on the calling thread
+//! (under the `worker-0` lane, restoring the caller's lane afterwards), so
+//! single-job requests and `--jobs 1` sweeps pay no thread spawn; any more
+//! workers call it from scoped threads. Records, worker stats, phases,
+//! spans and metrics have the same shape either way.
 //!
 //! Results can come from the persistent [`crate::result_store`] when the
 //! configured [`ResultCache`] attaches one: each job is content-addressed
@@ -43,21 +43,26 @@
 //! jobs whose inputs changed. Hits and misses are tallied per worker in
 //! [`WorkerStats`] and surface in every manifest.
 //!
+//! Each job's clock is split into phases kept in [`WorkerStats`]: `cached`
+//! (a result-store hit), `generate` (trace load or generation), `simulate`
+//! and `store` (a result-store miss lookup and the write of the fresh
+//! record).
+//!
 //! Telemetry: the engine records `engine.*` metrics into its configured
 //! sink — `engine.workers`, `engine.jobs.total`, `engine.jobs.completed`,
-//! `engine.queue.depth`, `engine.jobs_per_sec`, `engine.utilization`,
-//! `engine.wall_seconds` — plus per-phase `phase.{generate,simulate}.seconds`
-//! gauges. Per-run simulator telemetry stays disabled inside the engine:
-//! concurrent runs would interleave their `run.*` gauges, and telemetry is
-//! observationally transparent to results, so nothing is lost.
+//! `engine.job.us`, `engine.queue.depth`, `engine.jobs_per_sec`,
+//! `engine.utilization`, `engine.wall_seconds` — plus one
+//! `phase.<name>.seconds` gauge per phase that ran. Per-run simulator
+//! telemetry stays disabled inside the engine: concurrent runs would
+//! interleave their `run.*` gauges, and telemetry is observationally
+//! transparent to results, so nothing is lost.
 
 use crate::result_store::{self, ResultKey, ResultStore};
 use crate::runner::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_stats::RunRecord;
-use cbws_telemetry::{
-    detail, log, warn, Heartbeat, Log2Histogram, Profiler, Spans, Telemetry, Verbosity,
-};
+use cbws_telemetry::{detail, log, warn, Heartbeat, Log2Histogram, Spans, Telemetry, Verbosity};
 use cbws_workloads::{trace_store, Group, Scale, WorkloadSpec};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -214,7 +219,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Scheduling observability for one worker thread of an engine run.
+/// Scheduling observability for one worker of an engine run.
 ///
 /// Recorded unconditionally (the counters are a handful of adds per job),
 /// independent of whether spans or telemetry are enabled — this is the
@@ -225,7 +230,8 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Jobs this worker claimed and completed.
     pub jobs: usize,
-    /// Seconds spent executing jobs (generate + simulate).
+    /// Seconds spent executing jobs: every phase below plus the per-job
+    /// bookkeeping between them (result key, spans).
     pub busy_seconds: f64,
     /// Seconds inside the worker loop not spent on a job (claim overhead
     /// and the tail after the queue drained).
@@ -238,6 +244,19 @@ pub struct WorkerStats {
     pub store_misses: usize,
     /// Distribution of per-job durations in microseconds.
     pub job_us: Log2Histogram,
+    /// Seconds serving result-store hits (the `cached` phase); `None` when
+    /// no job hit.
+    pub cached_seconds: Option<f64>,
+    /// Seconds obtaining traces from the trace store (the `generate`
+    /// phase: a verified load, or DSL generation on a miss).
+    pub generate_seconds: Option<f64>,
+    /// Seconds replaying traces through the simulator (the `simulate`
+    /// phase).
+    pub simulate_seconds: Option<f64>,
+    /// Seconds in the result store on a miss: the failed lookup and the
+    /// write of the fresh record (the `store` phase); `None` when the run's
+    /// [`ResultCache`] is `Off`.
+    pub store_seconds: Option<f64>,
 }
 
 impl WorkerStats {
@@ -251,12 +270,27 @@ impl WorkerStats {
             store_hits: 0,
             store_misses: 0,
             job_us: Log2Histogram::new(),
+            cached_seconds: None,
+            generate_seconds: None,
+            simulate_seconds: None,
+            store_seconds: None,
         }
     }
 
-    /// Folds another run's stats for the same worker index into `self`
-    /// (used by binaries that drive several engine runs and report one
-    /// aggregate manifest).
+    /// The phases this worker ran as `(name, seconds)`, in job order;
+    /// phases that never ran are absent.
+    pub fn phases(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        [
+            ("cached", self.cached_seconds),
+            ("generate", self.generate_seconds),
+            ("simulate", self.simulate_seconds),
+            ("store", self.store_seconds),
+        ]
+        .into_iter()
+        .filter_map(|(name, secs)| Some((name, secs?)))
+    }
+
+    /// Folds another run's stats for the same worker index into `self`.
     pub fn merge(&mut self, other: &WorkerStats) {
         self.jobs += other.jobs;
         self.busy_seconds += other.busy_seconds;
@@ -264,24 +298,36 @@ impl WorkerStats {
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.job_us.merge(&other.job_us);
+        let add = |mine: &mut Option<f64>, theirs: Option<f64>| {
+            if let Some(secs) = theirs {
+                *mine.get_or_insert(0.0) += secs;
+            }
+        };
+        add(&mut self.cached_seconds, other.cached_seconds);
+        add(&mut self.generate_seconds, other.generate_seconds);
+        add(&mut self.simulate_seconds, other.simulate_seconds);
+        add(&mut self.store_seconds, other.store_seconds);
     }
+}
+
+/// Adds the time since `since` to a phase slot of [`WorkerStats`].
+fn charge(slot: &mut Option<f64>, since: Instant) {
+    *slot.get_or_insert(0.0) += since.elapsed().as_secs_f64();
 }
 
 /// The result of one engine run: the records in serial-sweep order plus
 /// scheduling/timing observability.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineRun {
     /// One record per `(workload, prefetcher)` job, workload-major,
     /// prefetcher-minor — byte-identical to the serial sweep's output.
     pub records: Vec<RunRecord>,
-    /// Worker threads actually used.
+    /// Workers actually used.
     pub workers: usize,
     /// Total jobs executed.
     pub job_count: usize,
     /// End-to-end wall-clock seconds of the run.
     pub wall_seconds: f64,
-    /// Per-phase totals summed across workers (`generate`, `simulate`).
-    pub profiler: Profiler,
     /// Mean fraction of the run each worker spent busy (0..=1).
     pub utilization: f64,
     /// Per-worker scheduling stats, ordered by worker index.
@@ -313,52 +359,206 @@ impl EngineRun {
     pub fn store_misses(&self) -> usize {
         self.worker_stats.iter().map(|s| s.store_misses).sum()
     }
+
+    /// Per-phase seconds summed across workers; phases no worker ran are
+    /// absent (a fully cached run has `cached` and no `simulate`).
+    pub fn phases(&self) -> BTreeMap<String, f64> {
+        let mut totals = BTreeMap::new();
+        for (name, secs) in self.worker_stats.iter().flat_map(WorkerStats::phases) {
+            *totals.entry(name.to_string()).or_insert(0.0) += secs;
+        }
+        totals
+    }
+
+    /// Folds a later run into this one, for binaries that drive several
+    /// engine runs and report one manifest: records append, job counts and
+    /// wall seconds add up, worker stats merge by worker index, and
+    /// utilization is recomputed over the combined wall clock.
+    pub fn merge(&mut self, other: EngineRun) {
+        self.records.extend(other.records);
+        self.workers = self.workers.max(other.workers);
+        self.job_count += other.job_count;
+        self.wall_seconds += other.wall_seconds;
+        self.cancelled |= other.cancelled;
+        for s in &other.worker_stats {
+            match self.worker_stats.iter_mut().find(|a| a.worker == s.worker) {
+                Some(a) => a.merge(s),
+                None => self.worker_stats.push(s.clone()),
+            }
+        }
+        self.worker_stats.sort_unstable_by_key(|s| s.worker);
+        self.utilization = utilization(&self.worker_stats, self.workers, self.wall_seconds);
+    }
 }
 
-/// Runs one `(workload, prefetcher)` job. With a result store attached it
-/// is consulted first — a verified hit skips the trace load and the
-/// simulation and is accounted under the `cached` phase; a miss (or no
-/// store) loads the trace, simulates, and persists the fresh record.
-/// Returns the record and whether it was served from the store.
-#[allow(clippy::too_many_arguments)]
-fn run_job(
-    store: Option<&ResultStore>,
-    store_writes: bool,
-    sim: &Simulator,
-    spans: &Spans,
-    system: &SystemConfig,
-    w: &'static WorkloadSpec,
-    kind: PrefetcherKind,
+/// Mean busy fraction of `workers` workers over `wall_seconds`.
+fn utilization(stats: &[WorkerStats], workers: usize, wall_seconds: f64) -> f64 {
+    let busy: f64 = stats.iter().map(|s| s.busy_seconds).sum();
+    if wall_seconds > 0.0 && workers > 0 {
+        (busy / (workers as f64 * wall_seconds)).min(1.0)
+    } else {
+        0.0
+    }
+}
+
+/// One run's job queue: the matrix, the shared claim counter, and the
+/// settings every worker reads. [`JobQueue::work`] is the engine's only
+/// job loop.
+struct JobQueue<'a> {
+    cfg: &'a EngineConfig,
+    store: Option<&'a ResultStore>,
     scale: Scale,
+    workloads: &'a [&'static WorkloadSpec],
+    kinds: &'a [PrefetcherKind],
+    job_count: usize,
     stream_threshold: u64,
-    prof: &mut Profiler,
-    stats: &mut WorkerStats,
-) -> (RunRecord, bool) {
-    let key = store.map(|_| ResultKey::new(w, scale, kind, system));
-    if let (Some(st), Some(key)) = (store, key.as_ref()) {
-        let lookup_start = Instant::now();
-        if let Some(record) = st.get(key) {
-            prof.record("cached", lookup_start.elapsed());
-            stats.store_hits += 1;
-            return (record, true);
+    /// Next unclaimed job index.
+    next: AtomicUsize,
+    /// Jobs finished so far, across workers.
+    completed: AtomicUsize,
+    /// Set by an observer returning `false`: workers stop claiming.
+    cancel: AtomicBool,
+    /// Done/total progress lines under `--progress`, shared so the rate
+    /// limit is global.
+    heartbeat: Mutex<Heartbeat>,
+}
+
+/// What one worker hands back: its `(job index, record)` pairs and stats.
+type WorkerOutput = (Vec<(usize, RunRecord)>, WorkerStats);
+
+impl JobQueue<'_> {
+    /// The worker body: binds the calling thread to the `worker-N` lane and
+    /// claims jobs until the queue drains or an observer cancels.
+    fn work(&self, worker: usize) -> WorkerOutput {
+        let spans = &self.cfg.spans;
+        let telemetry = &self.cfg.telemetry;
+        spans.adopt_lane(spans.lane(&format!("worker-{worker}")));
+        // Per-run simulator telemetry stays disabled (see the module docs),
+        // but the span collector rides along so `Core::run` lands on this
+        // worker's lane.
+        let sim = Simulator::with_telemetry(
+            self.cfg.system,
+            Telemetry::disabled().with_spans(spans.clone()),
+        );
+        let mut done: Vec<(usize, RunRecord)> = Vec::new();
+        let mut stats = WorkerStats::new(worker);
+        let loop_start = Instant::now();
+        loop {
+            // The idle span covers the gap from the previous job's end (or
+            // the loop start) to the next claim.
+            let idle = spans.begin("idle");
+            if self.cancel.load(Ordering::Relaxed) {
+                break; // cooperative cancellation between jobs
+            }
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.job_count {
+                break; // `idle` drops here, closing the gap
+            }
+            drop(idle);
+            let w = self.workloads[i / self.kinds.len()];
+            let kind = self.kinds[i % self.kinds.len()];
+            let job_span = spans.is_enabled().then(|| {
+                let g = spans.begin(&format!("{}/{}", w.name, kind.name()));
+                g.attr("workload", w.name)
+                    .attr("prefetcher", kind.name())
+                    .attr("job", i);
+                g
+            });
+            let job_start = Instant::now();
+            let (record, cached) = self.run_job(&sim, w, kind, &mut stats);
+            if let (Some(g), Some(_)) = (&job_span, self.store) {
+                g.attr("cached", cached);
+            }
+            drop(job_span);
+            let job_elapsed = job_start.elapsed();
+            stats.jobs += 1;
+            stats.busy_seconds += job_elapsed.as_secs_f64();
+            stats.job_us.record(job_elapsed.as_micros() as u64);
+            if let Some(obs) = &self.cfg.observer {
+                let go = obs(&JobUpdate {
+                    job: i,
+                    job_count: self.job_count,
+                    workload: w.name,
+                    prefetcher: kind.name(),
+                    cached,
+                    record: &record,
+                });
+                if !go {
+                    self.cancel.store(true, Ordering::Relaxed);
+                }
+            }
+            done.push((i, record));
+            telemetry.count("engine.jobs.completed", 1);
+            telemetry.observe("engine.job.us", job_elapsed.as_micros() as u64);
+            telemetry.set_gauge(
+                "engine.queue.depth",
+                self.job_count
+                    .saturating_sub(self.next.load(Ordering::Relaxed)) as f64,
+            );
+            let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+            if log::level() >= Verbosity::Verbose {
+                let msg = self
+                    .heartbeat
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .tick(completed as u64, self.job_count as u64);
+                if let Some(msg) = msg {
+                    detail!("[engine] {msg}");
+                }
+            }
         }
+        stats.idle_seconds = (loop_start.elapsed().as_secs_f64() - stats.busy_seconds).max(0.0);
+        (done, stats)
     }
-    let gen_start = Instant::now();
-    let gen_span = spans.begin("generate");
-    let trace = trace_store::shared().replay_source(w, scale, stream_threshold);
-    gen_span.attr("streamed", trace.is_streamed());
-    drop(gen_span);
-    prof.record("generate", gen_start.elapsed());
-    let sim_start = Instant::now();
-    let record = sim.run(w.name, w.group == Group::MemoryIntensive, &trace, kind);
-    prof.record("simulate", sim_start.elapsed());
-    if let (Some(st), Some(key)) = (store, key.as_ref()) {
-        if store_writes {
-            st.put(key, &record);
+
+    /// Runs one `(workload, prefetcher)` job. With a result store attached
+    /// it is consulted first — a verified hit skips the trace load and the
+    /// simulation; a miss (or no store) loads the trace, simulates, and
+    /// persists the fresh record. Each slice of the job lands in its phase
+    /// of `stats`. Returns the record and whether it was served from the
+    /// store.
+    fn run_job(
+        &self,
+        sim: &Simulator,
+        w: &'static WorkloadSpec,
+        kind: PrefetcherKind,
+        stats: &mut WorkerStats,
+    ) -> (RunRecord, bool) {
+        let key = self
+            .store
+            .map(|_| ResultKey::new(w, self.scale, kind, &self.cfg.system));
+        if let (Some(st), Some(key)) = (self.store, key.as_ref()) {
+            let lookup_start = Instant::now();
+            let hit = st.get(key);
+            let phase = match hit {
+                Some(_) => &mut stats.cached_seconds,
+                None => &mut stats.store_seconds,
+            };
+            charge(phase, lookup_start);
+            if let Some(record) = hit {
+                stats.store_hits += 1;
+                return (record, true);
+            }
         }
-        stats.store_misses += 1;
+        let gen_start = Instant::now();
+        let gen_span = self.cfg.spans.begin("generate");
+        let trace = trace_store::shared().replay_source(w, self.scale, self.stream_threshold);
+        gen_span.attr("streamed", trace.is_streamed());
+        drop(gen_span);
+        charge(&mut stats.generate_seconds, gen_start);
+        let sim_start = Instant::now();
+        let record = sim.run(w.name, w.group == Group::MemoryIntensive, &trace, kind);
+        charge(&mut stats.simulate_seconds, sim_start);
+        if let (Some(st), Some(key)) = (self.store, key.as_ref()) {
+            if self.cfg.store_writes {
+                let put_start = Instant::now();
+                st.put(key, &record);
+                charge(&mut stats.store_seconds, put_start);
+            }
+            stats.store_misses += 1;
+        }
+        (record, false)
     }
-    (record, false)
 }
 
 /// Schedules `(workload, prefetcher, scale)` simulation jobs across worker
@@ -433,309 +633,75 @@ impl Engine {
         telemetry.set_gauge("engine.jobs.total", job_count as f64);
         telemetry.set_gauge("engine.queue.depth", job_count as f64);
 
-        if workers == 1 {
-            return self.run_single(scale, workloads, kinds);
-        }
-
-        let next = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
-        // Set by an observer returning `false`: workers stop claiming.
-        let cancel = AtomicBool::new(false);
-        // Done/total progress lines under `--progress`, shared across
-        // workers so the rate limit is global.
-        let heartbeat = Mutex::new(Heartbeat::new(Duration::from_secs(1)));
-        // (index, record) pairs plus merged profiler and per-worker stats.
-        type WorkerOutput = (Vec<(usize, RunRecord)>, Profiler, Vec<WorkerStats>);
-        let shared: Mutex<WorkerOutput> =
-            Mutex::new((Vec::with_capacity(job_count), Profiler::new(), Vec::new()));
+        let queue = JobQueue {
+            cfg: &self.cfg,
+            store,
+            scale,
+            workloads,
+            kinds,
+            job_count,
+            stream_threshold: self.cfg.resolved_stream_threshold(),
+            next: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+            cancel: AtomicBool::new(false),
+            heartbeat: Mutex::new(Heartbeat::new(Duration::from_secs(1))),
+        };
         let engine_span = spans.begin("engine.run");
         engine_span.attr("jobs", job_count).attr("workers", workers);
         let start = Instant::now();
-        std::thread::scope(|s| {
-            let next = &next;
-            let completed = &completed;
-            let cancel = &cancel;
-            let heartbeat = &heartbeat;
-            let shared = &shared;
-            let system = self.cfg.system;
-            let observer = self.cfg.observer.as_ref();
-            let store_writes = self.cfg.store_writes;
-            let stream_threshold = self.cfg.resolved_stream_threshold();
-            for worker in 0..workers {
-                let spans = spans.clone();
-                s.spawn(move || {
-                    let lane = spans.lane(&format!("worker-{worker}"));
-                    spans.adopt_lane(lane);
-                    // Per-run simulator telemetry stays disabled (see the
-                    // module docs), but the span collector rides along so
-                    // `Core::run` lands on this worker's lane.
-                    let sim = Simulator::with_telemetry(
-                        system,
-                        Telemetry::disabled().with_spans(spans.clone()),
-                    );
-                    let mut local: Vec<(usize, RunRecord)> = Vec::new();
-                    let mut prof = Profiler::new();
-                    let mut stats = WorkerStats::new(worker);
-                    let loop_start = Instant::now();
-                    loop {
-                        // The idle span covers the gap from the previous
-                        // job's end (or thread start) to the next claim.
-                        let idle = spans.begin("idle");
-                        if cancel.load(Ordering::Relaxed) {
-                            break; // cooperative cancellation between jobs
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= job_count {
-                            break; // `idle` drops here, closing the gap
-                        }
-                        drop(idle);
-                        let w = workloads[i / kinds.len()];
-                        let kind = kinds[i % kinds.len()];
-                        let job_span = if spans.is_enabled() {
-                            let g = spans.begin(&format!("{}/{}", w.name, kind.name()));
-                            g.attr("workload", w.name)
-                                .attr("prefetcher", kind.name())
-                                .attr("job", i);
-                            Some(g)
-                        } else {
-                            None
-                        };
-                        let job_start = Instant::now();
-                        let (record, cached) = run_job(
-                            store,
-                            store_writes,
-                            &sim,
-                            &spans,
-                            &system,
-                            w,
-                            kind,
-                            scale,
-                            stream_threshold,
-                            &mut prof,
-                            &mut stats,
-                        );
-                        if store.is_some() {
-                            if let Some(g) = &job_span {
-                                g.attr("cached", cached);
-                            }
-                        }
-                        drop(job_span);
-                        let job_elapsed = job_start.elapsed();
-                        stats.jobs += 1;
-                        stats.busy_seconds += job_elapsed.as_secs_f64();
-                        stats.job_us.record(job_elapsed.as_micros() as u64);
-                        if let Some(obs) = observer {
-                            let go = obs(&JobUpdate {
-                                job: i,
-                                job_count,
-                                workload: w.name,
-                                prefetcher: kind.name(),
-                                cached,
-                                record: &record,
-                            });
-                            if !go {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        local.push((i, record));
-                        telemetry.count("engine.jobs.completed", 1);
-                        telemetry.observe("engine.job.us", job_elapsed.as_micros() as u64);
-                        telemetry.set_gauge(
-                            "engine.queue.depth",
-                            job_count.saturating_sub(next.load(Ordering::Relaxed)) as f64,
-                        );
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if log::level() >= Verbosity::Verbose {
-                            let msg = heartbeat
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .tick(done as u64, job_count as u64);
-                            if let Some(msg) = msg {
-                                detail!("[engine] {msg}");
-                            }
-                        }
-                    }
-                    stats.idle_seconds =
-                        (loop_start.elapsed().as_secs_f64() - stats.busy_seconds).max(0.0);
-                    let mut g = shared.lock().unwrap_or_else(|e| e.into_inner());
-                    g.0.extend(local);
-                    g.1.merge(&prof);
-                    g.2.push(stats);
-                });
-            }
-        });
+        let outputs: Vec<WorkerOutput> = if workers == 1 {
+            // Inline on the calling thread: no spawn for one worker.
+            let caller_lane = spans.current_lane();
+            let output = queue.work(0);
+            spans.adopt_lane(caller_lane);
+            vec![output]
+        } else {
+            let queue = &queue;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|worker| s.spawn(move || queue.work(worker)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
         let wall_seconds = start.elapsed().as_secs_f64();
         drop(engine_span);
 
-        let cancelled = cancel.load(Ordering::Relaxed);
-        let (mut indexed, profiler, mut worker_stats) =
-            shared.into_inner().unwrap_or_else(|e| e.into_inner());
+        let cancelled = queue.cancel.load(Ordering::Relaxed);
+        let mut indexed = Vec::with_capacity(job_count);
+        let mut worker_stats = Vec::with_capacity(workers);
+        for (done, stats) in outputs {
+            indexed.extend(done);
+            worker_stats.push(stats);
+        }
         indexed.sort_unstable_by_key(|(i, _)| *i);
         debug_assert!(cancelled || indexed.iter().enumerate().all(|(pos, (i, _))| pos == *i));
-        let records: Vec<RunRecord> = indexed.into_iter().map(|(_, r)| r).collect();
-        worker_stats.sort_unstable_by_key(|s| s.worker);
-
-        let busy_total: f64 = worker_stats.iter().map(|s| s.busy_seconds).sum();
-        let utilization = if wall_seconds > 0.0 && workers > 0 {
-            (busy_total / (workers as f64 * wall_seconds)).min(1.0)
-        } else {
-            0.0
-        };
-        for s in &worker_stats {
-            let prefix = format!("engine.worker.{}", s.worker);
-            telemetry.set_gauge(&format!("{prefix}.jobs"), s.jobs as f64);
-            telemetry.set_gauge(&format!("{prefix}.busy_seconds"), s.busy_seconds);
-            telemetry.set_gauge(&format!("{prefix}.idle_seconds"), s.idle_seconds);
-        }
         let run = EngineRun {
-            records,
+            records: indexed.into_iter().map(|(_, r)| r).collect(),
             workers,
             job_count,
             wall_seconds,
-            profiler,
-            utilization,
+            utilization: utilization(&worker_stats, workers, wall_seconds),
             worker_stats,
             cancelled,
         };
-        telemetry.set_gauge("engine.wall_seconds", wall_seconds);
-        telemetry.set_gauge("engine.jobs_per_sec", run.jobs_per_sec());
-        telemetry.set_gauge("engine.utilization", utilization);
-        run.profiler.export(telemetry);
-        run
-    }
-
-    /// Dedicated single-worker fast path: every job runs inline on the
-    /// calling thread, with one [`Simulator`], one in-order records
-    /// buffer, and one scratch arena reused across jobs. Relative to the
-    /// threaded path this drops the thread spawn/join, the shared-state
-    /// mutexes, the per-job `engine.queue.depth` gauge write, and the
-    /// index-sort merge — the fixed overheads that made engine `--jobs 1`
-    /// measurably slower than the serial sweep. Records, worker stats,
-    /// phases, and `engine.*` metrics keep the exact shape of a one-worker
-    /// threaded run; job spans additionally carry `fast_path=true` so
-    /// Perfetto timelines distinguish the two paths.
-    fn run_single(
-        &self,
-        scale: Scale,
-        workloads: &[&'static WorkloadSpec],
-        kinds: &[PrefetcherKind],
-    ) -> EngineRun {
-        let job_count = workloads.len() * kinds.len();
-        let telemetry = &self.cfg.telemetry;
-        let spans = &self.cfg.spans;
-        let store = self.store();
-        let engine_span = spans.begin("engine.run");
-        engine_span
-            .attr("jobs", job_count)
-            .attr("workers", 1)
-            .attr("fast_path", true);
-        let start = Instant::now();
-        // Run under the `worker-0` lane so timelines look the same as a
-        // one-worker threaded run, then restore the caller's lane.
-        let caller_lane = spans.current_lane();
-        let lane = spans.lane("worker-0");
-        spans.adopt_lane(lane);
-        let sim = Simulator::with_telemetry(
-            self.cfg.system,
-            Telemetry::disabled().with_spans(spans.clone()),
-        );
-        let mut records: Vec<RunRecord> = Vec::with_capacity(job_count);
-        let mut prof = Profiler::new();
-        let mut stats = WorkerStats::new(0);
-        let mut heartbeat = Heartbeat::new(Duration::from_secs(1));
-        let stream_threshold = self.cfg.resolved_stream_threshold();
-        let mut i = 0usize;
-        let mut cancelled = false;
-        'outer: for &w in workloads {
-            for &kind in kinds {
-                let job_span = if spans.is_enabled() {
-                    let g = spans.begin(&format!("{}/{}", w.name, kind.name()));
-                    g.attr("workload", w.name)
-                        .attr("prefetcher", kind.name())
-                        .attr("job", i)
-                        .attr("fast_path", true);
-                    Some(g)
-                } else {
-                    None
-                };
-                let job_start = Instant::now();
-                let (record, cached) = run_job(
-                    store,
-                    self.cfg.store_writes,
-                    &sim,
-                    spans,
-                    &self.cfg.system,
-                    w,
-                    kind,
-                    scale,
-                    stream_threshold,
-                    &mut prof,
-                    &mut stats,
-                );
-                if store.is_some() {
-                    if let Some(g) = &job_span {
-                        g.attr("cached", cached);
-                    }
-                }
-                drop(job_span);
-                let job_elapsed = job_start.elapsed();
-                stats.jobs += 1;
-                stats.busy_seconds += job_elapsed.as_secs_f64();
-                stats.job_us.record(job_elapsed.as_micros() as u64);
-                if let Some(obs) = &self.cfg.observer {
-                    let go = obs(&JobUpdate {
-                        job: i,
-                        job_count,
-                        workload: w.name,
-                        prefetcher: kind.name(),
-                        cached,
-                        record: &record,
-                    });
-                    if !go {
-                        records.push(record);
-                        telemetry.count("engine.jobs.completed", 1);
-                        cancelled = true;
-                        break 'outer;
-                    }
-                }
-                records.push(record);
-                telemetry.count("engine.jobs.completed", 1);
-                telemetry.observe("engine.job.us", job_elapsed.as_micros() as u64);
-                i += 1;
-                if log::level() >= Verbosity::Verbose {
-                    if let Some(msg) = heartbeat.tick(i as u64, job_count as u64) {
-                        detail!("[engine] {msg}");
-                    }
-                }
+        if telemetry.is_enabled() {
+            for s in &run.worker_stats {
+                let prefix = format!("engine.worker.{}", s.worker);
+                telemetry.set_gauge(&format!("{prefix}.jobs"), s.jobs as f64);
+                telemetry.set_gauge(&format!("{prefix}.busy_seconds"), s.busy_seconds);
+                telemetry.set_gauge(&format!("{prefix}.idle_seconds"), s.idle_seconds);
+            }
+            telemetry.set_gauge("engine.wall_seconds", wall_seconds);
+            telemetry.set_gauge("engine.jobs_per_sec", run.jobs_per_sec());
+            telemetry.set_gauge("engine.utilization", run.utilization);
+            for (name, secs) in run.phases() {
+                telemetry.set_gauge(&format!("phase.{name}.seconds"), secs);
             }
         }
-        spans.adopt_lane(caller_lane);
-        let wall_seconds = start.elapsed().as_secs_f64();
-        drop(engine_span);
-        telemetry.set_gauge("engine.queue.depth", 0.0);
-        stats.idle_seconds = (wall_seconds - stats.busy_seconds).max(0.0);
-        let utilization = if wall_seconds > 0.0 {
-            (stats.busy_seconds / wall_seconds).min(1.0)
-        } else {
-            0.0
-        };
-        telemetry.set_gauge("engine.worker.0.jobs", stats.jobs as f64);
-        telemetry.set_gauge("engine.worker.0.busy_seconds", stats.busy_seconds);
-        telemetry.set_gauge("engine.worker.0.idle_seconds", stats.idle_seconds);
-        let run = EngineRun {
-            records,
-            workers: 1,
-            job_count,
-            wall_seconds,
-            profiler: prof,
-            utilization,
-            worker_stats: vec![stats],
-            cancelled,
-        };
-        telemetry.set_gauge("engine.wall_seconds", wall_seconds);
-        telemetry.set_gauge("engine.jobs_per_sec", run.jobs_per_sec());
-        telemetry.set_gauge("engine.utilization", utilization);
-        run.profiler.export(telemetry);
         run
     }
 }
@@ -875,14 +841,51 @@ mod tests {
         assert_eq!(counter("engine.jobs.completed"), 2);
         assert!(run.wall_seconds >= 0.0);
         assert!(run.utilization > 0.0 && run.utilization <= 1.0);
-        let phases: Vec<String> = run
-            .profiler
-            .phases()
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        assert!(phases.contains(&"generate".to_string()));
-        assert!(phases.contains(&"simulate".to_string()));
+        // Without a result store the jobs only generate and simulate.
+        let phases = run.phases();
+        assert_eq!(
+            phases.keys().collect::<Vec<_>>(),
+            ["generate", "simulate"],
+            "{phases:?}"
+        );
+        // Every phase total is exported as a gauge.
+        let gauge = |p: &str| telemetry.with_metrics(|r| r.gauge(p)).unwrap().unwrap();
+        for (name, secs) in &phases {
+            assert_eq!(gauge(&format!("phase.{name}.seconds")), *secs);
+        }
+    }
+
+    /// Phases are sub-intervals of each job's clock, so per worker they
+    /// can never add up to more than its busy time.
+    #[test]
+    fn phase_seconds_fit_inside_busy_seconds() {
+        let dir = scratch_dir("phases");
+        let store = Arc::new(ResultStore::at(&dir));
+        let workloads = picks(&["stencil-default", "histo-large", "nw"]);
+        let kinds = [PrefetcherKind::None, PrefetcherKind::Sms];
+        for (jobs, result_cache) in [
+            (1, ResultCache::Off),
+            (2, ResultCache::Off),
+            (1, ResultCache::At(store.clone())),
+            (2, ResultCache::At(store.clone())),
+        ] {
+            let run = Engine::new(EngineConfig {
+                jobs,
+                result_cache,
+                ..EngineConfig::default()
+            })
+            .run(Scale::Tiny, &workloads, &kinds);
+            for s in &run.worker_stats {
+                let phase_sum: f64 = s.phases().map(|(_, secs)| secs).sum();
+                assert!(
+                    phase_sum <= s.busy_seconds,
+                    "jobs = {jobs}: worker {} phases {phase_sum} > busy {}",
+                    s.worker,
+                    s.busy_seconds
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -916,50 +919,77 @@ mod tests {
         }
     }
 
+    /// One worker runs inline on the caller's thread, more run in spawned
+    /// threads; both go through the same worker body, so everything but
+    /// the timings has the same shape.
     #[test]
-    fn single_worker_fast_path_tags_spans_and_restores_lane() {
-        let spans = Spans::enabled();
-        let main_lane = spans.lane("main");
-        spans.adopt_lane(main_lane);
-        let telemetry = Telemetry::enabled(64);
-        let workloads = picks(&["stencil-default", "nw"]);
-        let run = Engine::new(EngineConfig {
-            jobs: 1,
-            spans: spans.clone(),
-            telemetry: telemetry.clone(),
-            ..EngineConfig::default()
-        })
-        .run(
-            Scale::Tiny,
-            &workloads,
-            &[PrefetcherKind::None, PrefetcherKind::Sms],
-        );
-        assert_eq!(run.workers, 1);
-        assert_eq!(run.worker_stats.len(), 1);
-        assert_eq!(run.worker_stats[0].jobs, 4);
-        assert_eq!(run.worker_stats[0].job_us.count(), 4);
-        assert!(run.utilization > 0.0 && run.utilization <= 1.0);
-        // Metrics keep the threaded shape.
-        let counter = |p: &str| telemetry.with_metrics(|r| r.counter(p)).unwrap().unwrap();
-        assert_eq!(counter("engine.jobs.completed"), 4);
-        // The caller thread is bound back to its original lane.
-        assert_eq!(spans.current_lane(), main_lane);
-        // Job spans run on the worker-0 lane and are tagged fast_path.
-        let lanes = spans.lanes();
-        let w0 = lanes.iter().position(|l| l == "worker-0").unwrap();
-        let records = spans.records();
-        let jobs: Vec<_> = records.iter().filter(|r| r.name.contains('/')).collect();
-        assert_eq!(jobs.len(), 4, "{records:?}");
-        for job in &jobs {
-            assert_eq!(job.lane, w0, "{job:?}");
-            assert!(
-                job.attrs
-                    .iter()
-                    .any(|(k, v)| k == "fast_path" && v == "true"),
-                "{job:?}"
+    fn one_shape_for_any_worker_count() {
+        let workloads = picks(&["stencil-default", "histo-large", "nw"]);
+        let kinds = [PrefetcherKind::None, PrefetcherKind::Sms];
+        let serial = serial_reference(Scale::Tiny, &workloads, &kinds);
+        for jobs in [1, 2, 8] {
+            let spans = Spans::enabled();
+            let main_lane = spans.lane("main");
+            spans.adopt_lane(main_lane);
+            let run = Engine::new(EngineConfig {
+                jobs,
+                spans: spans.clone(),
+                ..EngineConfig::default()
+            })
+            .run(Scale::Tiny, &workloads, &kinds);
+            assert_eq!(run.records, serial, "jobs = {jobs}");
+            assert_eq!(
+                run.phases().keys().collect::<Vec<_>>(),
+                ["generate", "simulate"],
+                "jobs = {jobs}"
             );
+            assert_eq!(run.workers, jobs.min(run.job_count));
+            assert_eq!(run.worker_stats.len(), run.workers, "jobs = {jobs}");
+            let jobs_done: usize = run.worker_stats.iter().map(|s| s.jobs).sum();
+            assert_eq!(jobs_done, run.job_count, "jobs = {jobs}");
+            // Every job span sits on a `worker-N` lane.
+            let lanes = spans.lanes();
+            let records = spans.records();
+            let job_spans: Vec<_> = records.iter().filter(|r| r.name.contains('/')).collect();
+            assert_eq!(job_spans.len(), run.job_count, "jobs = {jobs}");
+            for span in &job_spans {
+                assert!(lanes[span.lane].starts_with("worker-"), "{span:?}");
+            }
+            assert!(records.iter().all(|r| r.dur_us.is_some()));
+            if jobs == 1 {
+                // The calling thread is bound back to its own lane.
+                assert_eq!(spans.current_lane(), main_lane);
+            }
         }
-        assert!(records.iter().all(|r| r.dur_us.is_some()));
+    }
+
+    #[test]
+    fn merged_runs_add_up() {
+        let workloads = picks(&["stencil-default"]);
+        let kinds = [PrefetcherKind::None, PrefetcherKind::Sms];
+        let run = |jobs| {
+            Engine::new(EngineConfig {
+                jobs,
+                ..EngineConfig::default()
+            })
+            .run(Scale::Tiny, &workloads, &kinds)
+        };
+        let (one, two) = (run(1), run(2));
+        let wall = one.wall_seconds + two.wall_seconds;
+        let simulate = one.phases()["simulate"] + two.phases()["simulate"];
+        let worker0 = one.worker_stats[0].jobs + two.worker_stats[0].jobs;
+        let mut total = EngineRun::default();
+        total.merge(one);
+        total.merge(two);
+        assert_eq!(
+            (total.job_count, total.records.len(), total.workers),
+            (4, 4, 2)
+        );
+        assert_eq!(total.worker_stats.len(), 2);
+        assert_eq!(total.worker_stats[0].jobs, worker0);
+        assert_eq!(total.wall_seconds, wall);
+        assert!((total.phases()["simulate"] - simulate).abs() < 1e-9);
+        assert!(total.utilization > 0.0 && total.utilization <= 1.0);
     }
 
     #[test]
@@ -980,6 +1010,13 @@ mod tests {
         assert_eq!(fresh.store_hits(), 0);
         assert_eq!(fresh.store_misses(), fresh.job_count);
         assert_eq!(fresh.records, serial, "fresh cached run must equal serial");
+        // The miss lookups and the writes are the `store` phase.
+        let phases = fresh.phases();
+        assert_eq!(
+            phases.keys().collect::<Vec<_>>(),
+            ["generate", "simulate", "store"],
+            "{phases:?}"
+        );
 
         // Second run (threaded path): every job served from the store,
         // byte-identical records, no simulate phase at all.
@@ -987,14 +1024,8 @@ mod tests {
         assert_eq!(cached.store_hits(), cached.job_count);
         assert_eq!(cached.store_misses(), 0);
         assert_eq!(cached.records, serial, "stored records must round-trip");
-        let phases: Vec<String> = cached
-            .profiler
-            .phases()
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
-        assert!(phases.contains(&"cached".to_string()), "{phases:?}");
-        assert!(!phases.contains(&"simulate".to_string()), "{phases:?}");
+        let phases = cached.phases();
+        assert_eq!(phases.keys().collect::<Vec<_>>(), ["cached"], "{phases:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1082,8 +1113,10 @@ mod tests {
         for jobs in [1, 2] {
             let done = Arc::new(AtomicUsize::new(0));
             let counter = done.clone();
+            let telemetry = Telemetry::enabled(64);
             let run = Engine::new(EngineConfig {
                 jobs,
+                telemetry: telemetry.clone(),
                 observer: Some(Arc::new(move |_: &JobUpdate<'_>| {
                     counter.fetch_add(1, Ordering::Relaxed) + 1 < 2
                 })),
@@ -1097,6 +1130,22 @@ mod tests {
                  ({} of {} records)",
                 run.records.len(),
                 run.job_count
+            );
+            // The cancelling job is accounted like any other.
+            let (completed, timed) = telemetry
+                .with_metrics(|r| {
+                    (
+                        r.counter("engine.jobs.completed").unwrap(),
+                        r.histogram("engine.job.us").unwrap().count(),
+                    )
+                })
+                .unwrap();
+            let worker_jobs: usize = run.worker_stats.iter().map(|s| s.jobs).sum();
+            assert_eq!(
+                [timed as usize, completed as usize, worker_jobs],
+                [run.records.len(); 3],
+                "jobs = {jobs}: engine.job.us count, engine.jobs.completed, \
+                 worker jobs vs records"
             );
         }
     }

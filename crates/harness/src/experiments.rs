@@ -10,9 +10,11 @@ use cbws_stats::{
     geomean, mean, GroupedBarChart, LineChart, RunRecord, StackedBarChart, TextTable,
     TimelinessBreakdown,
 };
-use cbws_telemetry::{detail, status, warn, Profiler, Spans, Telemetry};
+use cbws_telemetry::{detail, status, warn, Spans, Telemetry};
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Formats a float with 3 significant digits for tables.
 fn f3(v: f64) -> String {
@@ -180,16 +182,17 @@ pub fn save_csv(name: &str, table: &TextTable) {
 pub fn sweep(scale: Scale, workloads: &[&'static WorkloadSpec]) -> Vec<RunRecord> {
     let sim = Simulator::new(SystemConfig::default());
     let mut records = Vec::with_capacity(workloads.len() * PrefetcherKind::ALL.len());
-    let mut profiler = Profiler::new();
+    let (mut generate, mut simulate) = (0.0, 0.0);
     for w in workloads {
-        profiler.begin("generate");
+        let step = Instant::now();
         let trace = cbws_workloads::trace_cache::generate_shared(w, scale);
+        generate += step.elapsed().as_secs_f64();
         status!(
             "[sweep] {} ({} instructions)",
             w.name,
             trace.stats().instructions
         );
-        profiler.begin("simulate");
+        let step = Instant::now();
         for kind in PrefetcherKind::ALL {
             records.push(sim.run(
                 w.name,
@@ -198,10 +201,26 @@ pub fn sweep(scale: Scale, workloads: &[&'static WorkloadSpec]) -> Vec<RunRecord
                 kind,
             ));
         }
+        simulate += step.elapsed().as_secs_f64();
     }
-    profiler.end();
-    detail!("[sweep] phase timings:\n{}", profiler.report());
+    let phases = BTreeMap::from([("generate".into(), generate), ("simulate".into(), simulate)]);
+    detail!("[sweep] phase timings:\n{}", phase_report(&phases));
     records
+}
+
+/// A multi-line human-readable report of per-phase seconds (a manifest's
+/// `phases`) with each phase's share of their total.
+pub fn phase_report(phases: &BTreeMap<String, f64>) -> String {
+    let total = phases.values().sum::<f64>().max(1e-12);
+    let mut out = String::new();
+    for (name, secs) in phases {
+        out.push_str(&format!(
+            "  {name:<24} {secs:>9.3} s  ({:>5.1}%)\n",
+            secs / total * 100.0
+        ));
+    }
+    out.push_str(&format!("  {:<24} {total:>9.3} s", "total"));
+    out
 }
 
 /// Writes an SVG figure to `results/<name>.svg` (best-effort, like
@@ -415,7 +434,7 @@ pub fn sweep_engine_with(
             );
         }
     }
-    detail!("[engine] phase timings:\n{}", run.profiler.report());
+    detail!("[engine] phase timings:\n{}", phase_report(&run.phases()));
     if let Some(path) = metrics_out {
         let write = std::fs::File::create(&path)
             .map_err(|e| e.to_string())
@@ -824,7 +843,7 @@ mod tests {
         assert_eq!(run.records.len(), PrefetcherKind::ALL.len());
         assert_eq!(run.workers, 2);
         assert!(run.wall_seconds > 0.0);
-        assert!(run.profiler.phases().iter().any(|(n, _)| n == "simulate"));
+        assert!(run.phases().contains_key("simulate"));
         assert_eq!(run.store_hits() + run.store_misses(), 0);
     }
 

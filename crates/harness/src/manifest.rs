@@ -7,9 +7,8 @@
 //! self-describing — no need to reconstruct CLI flags from shell history to
 //! reproduce a CSV.
 
-use crate::engine::{detect_parallelism, WorkerStats};
+use crate::engine::{detect_parallelism, EngineRun, WorkerStats};
 use crate::runner::{PrefetcherKind, SystemConfig};
-use cbws_telemetry::Profiler;
 use cbws_workloads::Scale;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -81,7 +80,8 @@ pub struct RunManifest {
     /// End-to-end wall-clock seconds of the sweep (`0.0` when untimed).
     pub wall_seconds: f64,
     /// Per-phase wall-clock totals in seconds, summed across workers
-    /// (e.g. `"generate"`, `"simulate"`). Empty when untimed.
+    /// (e.g. `"generate"`, `"simulate"`, `"store"`); phases that never ran
+    /// are absent. Empty when untimed.
     pub phases: BTreeMap<String, f64>,
     /// Per-worker jobs/busy/idle breakdown of the engine run, ordered by
     /// worker index. Empty when the binary ran serially.
@@ -115,24 +115,19 @@ impl RunManifest {
         }
     }
 
-    /// Records sweep timing: worker count, wall-clock seconds, and the
-    /// per-phase totals of `profiler` (builder-style, used with the
-    /// engine's [`crate::EngineRun`]).
-    pub fn with_timing(mut self, jobs: usize, wall_seconds: f64, profiler: &Profiler) -> Self {
-        self.jobs = jobs;
-        self.wall_seconds = wall_seconds;
-        self.phases = profiler
-            .phases()
+    /// Records an engine run's timing (builder-style): its worker count,
+    /// wall-clock seconds, per-phase totals and per-worker breakdown. A
+    /// binary that drives several runs folds them with
+    /// [`EngineRun::merge`] first.
+    pub fn with_run(mut self, run: &EngineRun) -> Self {
+        self.jobs = run.workers;
+        self.wall_seconds = run.wall_seconds;
+        self.phases = run.phases();
+        self.worker_stats = run
+            .worker_stats
             .iter()
-            .map(|(name, d)| (name.clone(), d.as_secs_f64()))
+            .map(ManifestWorker::from_stats)
             .collect();
-        self
-    }
-
-    /// Records the per-worker scheduling breakdown (builder-style,
-    /// normally from [`crate::EngineRun::worker_stats`]).
-    pub fn with_workers(mut self, stats: &[WorkerStats]) -> Self {
-        self.worker_stats = stats.iter().map(ManifestWorker::from_stats).collect();
         self
     }
 
@@ -171,21 +166,27 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_json() {
-        let mut profiler = Profiler::new();
-        profiler.record("generate", std::time::Duration::from_millis(250));
-        profiler.record("simulate", std::time::Duration::from_millis(750));
         let mut job_us = cbws_telemetry::Log2Histogram::new();
         job_us.record(900);
         job_us.record(1100);
-        let stats = [WorkerStats {
-            worker: 0,
-            jobs: 2,
-            busy_seconds: 0.002,
-            idle_seconds: 0.001,
-            store_hits: 1,
-            store_misses: 1,
-            job_us,
-        }];
+        let run = EngineRun {
+            workers: 4,
+            wall_seconds: 1.25,
+            worker_stats: vec![WorkerStats {
+                worker: 0,
+                jobs: 2,
+                busy_seconds: 0.002,
+                idle_seconds: 0.001,
+                store_hits: 1,
+                store_misses: 1,
+                job_us,
+                cached_seconds: None,
+                generate_seconds: Some(0.25),
+                simulate_seconds: Some(0.75),
+                store_seconds: None,
+            }],
+            ..EngineRun::default()
+        };
         let m = RunManifest::new(
             "fig12_mpki",
             Scale::Small,
@@ -193,8 +194,7 @@ mod tests {
             PrefetcherKind::ALL,
             SystemConfig::default(),
         )
-        .with_timing(4, 1.25, &profiler)
-        .with_workers(&stats);
+        .with_run(&run);
         let json = m.to_json();
         assert!(json.contains("\"binary\""));
         assert!(json.contains("fig12_mpki"));
@@ -211,6 +211,7 @@ mod tests {
         assert!(back.host_cores >= 1);
         assert_eq!(back.phases.len(), 2);
         assert!((back.phases["simulate"] - 0.75).abs() < 1e-9);
+        assert!(!back.phases.contains_key("cached"));
         assert_eq!(back.worker_stats.len(), 1);
         assert_eq!(back.worker_stats[0].jobs, 2);
         assert_eq!(back.worker_stats[0].job_us_max, 1100);

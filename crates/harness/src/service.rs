@@ -208,8 +208,7 @@ impl SweepSession {
             spec.kinds.iter().copied(),
             spec.system,
         )
-        .with_timing(run.workers, run.wall_seconds, &run.profiler)
-        .with_workers(&run.worker_stats);
+        .with_run(&run);
         SweepOutcome { run, manifest }
     }
 }

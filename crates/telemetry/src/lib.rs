@@ -11,9 +11,12 @@
 //! * **Metrics** — a hierarchical [`MetricsRegistry`] of counters, gauges,
 //!   and [`Log2Histogram`]s addressable by dotted path
 //!   (`l2.prefetch.issued`), dumpable as nested JSON.
-//! * **Logging & profiling** — verbosity-gated [`result!`]/[`status!`]/
-//!   [`detail!`]/[`warn!`] macros, per-phase wall-clock [`Profiler`], and a
-//!   rate-limited progress [`Heartbeat`].
+//! * **Logging** — verbosity-gated [`result!`]/[`status!`]/[`detail!`]/
+//!   [`warn!`] macros and a rate-limited progress [`Heartbeat`].
+//!
+//! Wall-clock time has one primitive, [`Spans`]: nested, per-lane spans
+//! exportable as a Chrome trace. Per-phase totals are not a telemetry type;
+//! the engine keeps them with its per-worker stats.
 //!
 //! The [`Telemetry`] handle ties the first two together. It is cheap to
 //! clone and share across the simulator layers, and a
@@ -37,17 +40,17 @@
 //! ```
 
 mod event;
+mod heartbeat;
 mod metrics;
-mod profile;
 mod ring;
 mod span;
 
 pub mod log;
 
 pub use event::{CacheLevel, DemandKind, DropReason, SimEvent};
+pub use heartbeat::Heartbeat;
 pub use log::Verbosity;
 pub use metrics::{Log2Histogram, Metric, MetricsRegistry};
-pub use profile::{Heartbeat, Profiler};
 pub use ring::EventRing;
 pub use span::{chrome_trace, SpanGuard, SpanRecord, Spans};
 

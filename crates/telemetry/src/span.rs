@@ -156,9 +156,9 @@ impl Spans {
     /// The calling thread's current lane for this collector — the lane a
     /// [`Spans::begin`] would use right now — registering the
     /// thread-default lane if none was adopted. Lets a caller that adopts
-    /// a different lane temporarily (the engine's single-worker fast path
-    /// runs jobs on the caller thread under `worker-0`) restore the
-    /// binding afterwards. Disabled handles return 0.
+    /// a different lane temporarily (a one-worker engine run works on the
+    /// caller thread under `worker-0`) restore the binding afterwards.
+    /// Disabled handles return 0.
     pub fn current_lane(&self) -> usize {
         let Some(inner) = &self.inner else { return 0 };
         current_lane(inner)
@@ -187,28 +187,11 @@ impl Spans {
                 idx: 0,
             };
         };
-        let idx = begin_raw(inner, lane, name);
+        let idx = begin_at(inner, lane, name);
         SpanGuard {
             inner: Some(inner.clone()),
             idx,
         }
-    }
-
-    /// Raw begin for collaborators that cannot hold a guard (the
-    /// [`crate::Profiler`] stores the index across `begin`/`end` calls).
-    /// Returns `None` when disabled. The span lands on the calling
-    /// thread's lane.
-    pub fn begin_raw(&self, name: &str) -> Option<usize> {
-        let inner = self.inner.as_ref()?;
-        let lane = current_lane(inner);
-        Some(begin_raw(inner, lane, name))
-    }
-
-    /// Closes a span opened with [`Spans::begin_raw`]. Closing twice is a
-    /// no-op (the first duration wins).
-    pub fn end_raw(&self, idx: usize) {
-        let Some(inner) = &self.inner else { return };
-        end_at(inner, idx);
     }
 
     /// Snapshot of the recorded spans, in begin order. Open spans have
@@ -271,7 +254,7 @@ fn current_lane(inner: &Inner) -> usize {
     lane
 }
 
-fn begin_raw(inner: &Inner, lane: usize, name: &str) -> usize {
+fn begin_at(inner: &Inner, lane: usize, name: &str) -> usize {
     let start_us = inner.epoch.elapsed().as_micros() as u64;
     let mut st = lock(&inner.state);
     // A lane id from a foreign (cloned-then-dropped) collector is clamped.
@@ -413,8 +396,6 @@ mod tests {
             let g = s.begin("job");
             g.attr("k", "v");
         }
-        assert!(s.begin_raw("x").is_none());
-        s.end_raw(0);
         assert!(s.records().is_empty());
         assert!(s.lanes().is_empty());
         let trace = s.to_chrome_trace();
@@ -518,23 +499,25 @@ mod tests {
     }
 
     #[test]
-    fn raw_begin_end_and_double_end() {
+    fn closing_twice_keeps_the_first_duration() {
         let s = Spans::enabled();
         s.adopt_lane(s.lane("main"));
-        let idx = s.begin_raw("phase").unwrap();
-        s.end_raw(idx);
+        let g = s.begin("phase");
+        let (inner, idx) = (g.inner.clone().unwrap(), g.idx);
+        drop(g);
         let first = s.records()[0].dur_us;
         assert!(first.is_some());
-        s.end_raw(idx); // no-op
+        end_at(&inner, idx); // a second close is a no-op
         assert_eq!(s.records()[0].dur_us, first);
-        s.end_raw(999); // out of range: ignored
+        end_at(&inner, 999); // out of range: ignored
+        assert_eq!(s.records().len(), 1);
     }
 
     #[test]
     fn open_spans_have_no_duration_and_are_not_exported() {
         let s = Spans::enabled();
         s.adopt_lane(s.lane("main"));
-        let idx = s.begin_raw("open").unwrap();
+        let open = s.begin("open");
         {
             let _closed = s.begin("closed");
         }
@@ -544,7 +527,8 @@ mod tests {
         let trace = s.to_chrome_trace();
         assert!(!trace.contains("\"open\""));
         assert!(trace.contains("\"closed\""));
-        s.end_raw(idx);
+        drop(open);
+        assert!(s.records()[0].dur_us.is_some());
     }
 
     #[test]
