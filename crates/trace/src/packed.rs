@@ -396,7 +396,13 @@ impl PackedTrace {
     /// Packs a materialized trace into columns, varint-encoding each
     /// operand lane.
     pub fn from_trace(trace: &Trace) -> PackedTrace {
-        let events = trace.events();
+        PackedTrace::from_events(trace.events())
+    }
+
+    /// Packs a run of events in place — the streaming writer's frame
+    /// encoder, which hands over the builder's chunk without copying it
+    /// into a [`Trace`] first.
+    pub fn from_events(events: &[TraceEvent]) -> PackedTrace {
         let mut n_pcs = 0usize;
         let mut n_mems = 0usize;
         let mut n_alus = 0usize;
@@ -1668,7 +1674,7 @@ mod tests {
         let mut bytes = vec![0xEE; 7];
         let mut entries = Vec::new();
         for chunk in trace.events().chunks(frame_events.max(1)) {
-            let frame = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+            let frame = PackedTrace::from_events(chunk);
             entries.push(FrameEntry::of(&frame, bytes.len() as u64));
             bytes.extend_from_slice(frame.payload());
         }

@@ -77,7 +77,7 @@ fn framed_bytes(
     let mut bytes = vec![0xa5u8; lead];
     let mut entries = Vec::new();
     for chunk in events.chunks(frame_events.max(1)) {
-        let packed = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+        let packed = PackedTrace::from_events(chunk);
         entries.push(FrameEntry::of(&packed, bytes.len() as u64));
         bytes.extend_from_slice(packed.payload());
     }
@@ -165,7 +165,7 @@ proptest! {
         let frame_events = if pick < 8 { 16 } else { 256 };
         let events = &pool[..boundary_lens(frame_events)[pick % 8]];
         let (resident, streamed, path) = both_sources(events, frame_events, 31, "ident");
-        let unframed = PackedTrace::from_trace(&Trace::from_events(events.to_vec()));
+        let unframed = PackedTrace::from_events(events);
         let reference: Vec<TraceEvent> = unframed.cursor().collect();
         prop_assert_eq!(&reference[..], events);
         for framed in [&resident, &streamed] {

@@ -14,11 +14,19 @@
 //! hardware still sees one `BLOCK_BEGIN`/`BLOCK_END` pair per *original*
 //! iteration.
 //!
-//! [`Program::execute`] interprets the program into a committed-instruction
+//! [`Program::execute`] runs the program into a committed-instruction
 //! [`Trace`], emitting loop back-branches and `If` branches for the branch
 //! predictor, and marking loads whose address was derived from loaded data
 //! ([`Expr::Index`]) as [`Dependence::PrevLoad`] so the timing model
 //! serializes them.
+//!
+//! Execution first *lowers* the statement tree once: every variable becomes
+//! a slot in a flat environment, every table name a resolved slice, and
+//! every subexpression built only from constants, variables, `+`, `-` and
+//! `×` by a constant folds into one affine form `c0 + Σ kᵢ·slotᵢ`
+//! (wrapping, so exact in ℤ/2⁶⁴). The paper's tight loops address memory
+//! through exactly such expressions, so most accesses cost a few
+//! multiply-adds instead of a tree walk with a map lookup per variable.
 
 use cbws_trace::{Addr, BlockId, Dependence, MemAccess, MemKind, Pc, Trace, TraceBuilder};
 use std::collections::BTreeMap;
@@ -161,13 +169,6 @@ impl Cond {
         match self {
             Cond::Lt(a, b) => Cond::Lt(a.subst(var, replacement), b.subst(var, replacement)),
             Cond::NonZero(a) => Cond::NonZero(a.subst(var, replacement)),
-        }
-    }
-
-    fn is_data_dependent(&self) -> bool {
-        match self {
-            Cond::Lt(a, b) => a.is_data_dependent() || b.is_data_dependent(),
-            Cond::NonZero(a) => a.is_data_dependent(),
         }
     }
 }
@@ -514,7 +515,7 @@ impl Program {
         Ok(tb.finish())
     }
 
-    /// Interprets the program into an existing builder — the streaming
+    /// Runs the program into an existing builder — the streaming
     /// generation path: a [`TraceBuilder::streaming`] sink sees the same
     /// event sequence [`Program::execute`] would materialize, flushed in
     /// chunks.
@@ -522,140 +523,345 @@ impl Program {
     /// Returns [`DslError`] on unbound variables or unknown tables; the
     /// caller finishes (or stream-finishes) the builder.
     pub fn execute_into(&self, tb: &mut TraceBuilder) -> Result<(), DslError> {
-        let mut env: BTreeMap<Var, i64> = BTreeMap::new();
-        Self::exec_stmts(&self.body, &mut env, &self.tables, tb)
+        let mut lower = Lowerer {
+            tables: &self.tables,
+            slots: BTreeMap::new(),
+            names: Vec::new(),
+        };
+        let ops = lower.stmts(&self.body);
+        let mut env = Env {
+            vals: vec![None; lower.names.len()],
+            names: lower.names,
+        };
+        run(&ops, &mut env, tb)
+    }
+}
+
+/// A variable's index into the lowered environment.
+type Slot = usize;
+
+/// `c0 + Σ k·slot` in wrapping arithmetic: the folded form of an [`Expr`]
+/// built only from constants, variables, `+`, `-` and `×` by a constant.
+struct Affine {
+    c0: i64,
+    /// Every variable the source expression reads, once each, in the order
+    /// the tree interpreter first reads it (left operand first). Terms
+    /// whose coefficient folded to 0 stay, so reading an unbound variable
+    /// is still an error.
+    terms: Vec<(Slot, i64)>,
+}
+
+impl Affine {
+    /// `ka·a + kb·b`, keeping `a`'s reads ahead of `b`'s.
+    fn scaled_sum(a: Affine, ka: i64, b: Affine, kb: i64) -> Affine {
+        let mut terms: Vec<(Slot, i64)> = a
+            .terms
+            .into_iter()
+            .map(|(slot, k)| (slot, k.wrapping_mul(ka)))
+            .collect();
+        for (slot, k) in b.terms {
+            let k = k.wrapping_mul(kb);
+            match terms.iter_mut().find(|t| t.0 == slot) {
+                Some(t) => t.1 = t.1.wrapping_add(k),
+                None => terms.push((slot, k)),
+            }
+        }
+        Affine {
+            c0: a.c0.wrapping_mul(ka).wrapping_add(b.c0.wrapping_mul(kb)),
+            terms,
+        }
     }
 
-    fn eval(
-        expr: &Expr,
-        env: &BTreeMap<Var, i64>,
-        tables: &BTreeMap<&'static str, Vec<i64>>,
-    ) -> Result<i64, DslError> {
-        Ok(match expr {
-            Expr::Const(c) => *c,
-            Expr::Var(v) => *env.get(v).ok_or(DslError::UnboundVar(v))?,
-            Expr::Add(a, b) => {
-                Self::eval(a, env, tables)?.wrapping_add(Self::eval(b, env, tables)?)
-            }
-            Expr::Sub(a, b) => {
-                Self::eval(a, env, tables)?.wrapping_sub(Self::eval(b, env, tables)?)
-            }
-            Expr::Mul(a, b) => {
-                Self::eval(a, env, tables)?.wrapping_mul(Self::eval(b, env, tables)?)
-            }
-            Expr::Rem(a, b) => {
-                let d = Self::eval(b, env, tables)?;
-                if d == 0 {
-                    0
-                } else {
-                    Self::eval(a, env, tables)?.rem_euclid(d)
-                }
-            }
-            Expr::Div(a, b) => {
-                let d = Self::eval(b, env, tables)?;
-                if d == 0 {
-                    0
-                } else {
-                    Self::eval(a, env, tables)?.div_euclid(d)
-                }
-            }
-            Expr::Index { table, idx } => {
-                let t = tables.get(table).ok_or(DslError::UnknownTable(table))?;
+    /// The value, when it does not depend on any variable.
+    fn constant(&self) -> Option<i64> {
+        self.terms.iter().all(|&(_, k)| k == 0).then_some(self.c0)
+    }
+
+    fn eval(&self, env: &Env) -> Result<i64, DslError> {
+        let mut acc = self.c0;
+        for &(slot, k) in &self.terms {
+            acc = acc.wrapping_add(k.wrapping_mul(env.get(slot)?));
+        }
+        Ok(acc)
+    }
+}
+
+/// An [`Expr`] after lowering. Affine subtrees are folded; `Rem`, `Div`,
+/// `Index` and products of two variable operands keep their tree form.
+enum Lowered<'p> {
+    Affine(Affine),
+    Add(Box<Lowered<'p>>, Box<Lowered<'p>>),
+    Sub(Box<Lowered<'p>>, Box<Lowered<'p>>),
+    Mul(Box<Lowered<'p>>, Box<Lowered<'p>>),
+    Rem(Box<Lowered<'p>>, Box<Lowered<'p>>),
+    Div(Box<Lowered<'p>>, Box<Lowered<'p>>),
+    Index {
+        name: &'static str,
+        /// `None` for a table never registered: an error only when read.
+        table: Option<&'p [i64]>,
+        idx: Box<Lowered<'p>>,
+    },
+}
+
+impl Lowered<'_> {
+    /// Evaluates with the tree interpreter's semantics, errors included:
+    /// operands left to right, except that `Rem`/`Div` read the divisor
+    /// first and skip the dividend when it is 0, and `Index` resolves its
+    /// table before reading the index.
+    fn eval(&self, env: &Env) -> Result<i64, DslError> {
+        Ok(match self {
+            Lowered::Affine(a) => a.eval(env)?,
+            Lowered::Add(a, b) => a.eval(env)?.wrapping_add(b.eval(env)?),
+            Lowered::Sub(a, b) => a.eval(env)?.wrapping_sub(b.eval(env)?),
+            Lowered::Mul(a, b) => a.eval(env)?.wrapping_mul(b.eval(env)?),
+            Lowered::Rem(a, b) => match b.eval(env)? {
+                0 => 0,
+                d => a.eval(env)?.rem_euclid(d),
+            },
+            Lowered::Div(a, b) => match b.eval(env)? {
+                0 => 0,
+                d => a.eval(env)?.div_euclid(d),
+            },
+            Lowered::Index { name, table, idx } => {
+                let t = table.ok_or(DslError::UnknownTable(name))?;
                 if t.is_empty() {
                     0
                 } else {
-                    let i = Self::eval(idx, env, tables)?.rem_euclid(t.len() as i64) as usize;
-                    t[i]
+                    t[idx.eval(env)?.rem_euclid(t.len() as i64) as usize]
                 }
             }
         })
     }
+}
 
-    fn cond(
-        c: &Cond,
-        env: &BTreeMap<Var, i64>,
-        tables: &BTreeMap<&'static str, Vec<i64>>,
-    ) -> Result<bool, DslError> {
-        Ok(match c {
-            Cond::Lt(a, b) => Self::eval(a, env, tables)? < Self::eval(b, env, tables)?,
-            Cond::NonZero(a) => Self::eval(a, env, tables)? != 0,
+/// A [`Cond`] after lowering.
+enum LoweredCond<'p> {
+    Lt(Lowered<'p>, Lowered<'p>),
+    NonZero(Lowered<'p>),
+}
+
+impl LoweredCond<'_> {
+    fn eval(&self, env: &Env) -> Result<bool, DslError> {
+        Ok(match self {
+            LoweredCond::Lt(a, b) => a.eval(env)? < b.eval(env)?,
+            LoweredCond::NonZero(a) => a.eval(env)? != 0,
+        })
+    }
+}
+
+/// A [`Stmt`] after lowering, with everything that does not depend on the
+/// environment precomputed.
+enum Op<'p> {
+    Loop {
+        slot: Slot,
+        count: Lowered<'p>,
+        back_pc: Pc,
+        body: Vec<Op<'p>>,
+    },
+    /// A load or store; `access.addr` is overwritten per execution.
+    Mem {
+        access: MemAccess,
+        addr: Lowered<'p>,
+    },
+    Let {
+        slot: Slot,
+        value: Lowered<'p>,
+    },
+    Alu {
+        pc: Pc,
+        count: u32,
+    },
+    If {
+        pc: Pc,
+        cond: LoweredCond<'p>,
+        then: Vec<Op<'p>>,
+        otherwise: Vec<Op<'p>>,
+    },
+    BlockBegin(BlockId),
+    BlockEnd(BlockId),
+}
+
+/// The lowered environment: one value per slot, `None` until bound.
+struct Env {
+    vals: Vec<Option<i64>>,
+    names: Vec<Var>,
+}
+
+impl Env {
+    fn get(&self, slot: Slot) -> Result<i64, DslError> {
+        self.vals[slot].ok_or(DslError::UnboundVar(self.names[slot]))
+    }
+}
+
+/// The lowering pass: assigns slots and resolves tables as it goes.
+struct Lowerer<'p> {
+    tables: &'p BTreeMap<&'static str, Vec<i64>>,
+    slots: BTreeMap<Var, Slot>,
+    names: Vec<Var>,
+}
+
+impl<'p> Lowerer<'p> {
+    fn slot(&mut self, var: Var) -> Slot {
+        *self.slots.entry(var).or_insert_with(|| {
+            self.names.push(var);
+            self.names.len() - 1
         })
     }
 
-    fn exec_stmts(
-        stmts: &[Stmt],
-        env: &mut BTreeMap<Var, i64>,
-        tables: &BTreeMap<&'static str, Vec<i64>>,
-        tb: &mut TraceBuilder,
-    ) -> Result<(), DslError> {
-        for s in stmts {
-            match s {
-                Stmt::Loop { var, count, body } => {
-                    let n = Self::eval(count, env, tables)?.max(0);
-                    // Synthesize a stable back-branch PC from the loop
-                    // variable's address-independent identity.
-                    let back_pc = Pc(0xB100_0000 | (fnv(var) & 0xFF_FFFF));
-                    for i in 0..n {
-                        env.insert(var, i);
-                        Self::exec_stmts(body, env, tables, tb)?;
-                        tb.branch(back_pc, i + 1 != n);
+    fn expr(&mut self, expr: &Expr) -> Lowered<'p> {
+        let mut pair = |a: &Expr, b: &Expr| (self.expr(a), self.expr(b));
+        match expr {
+            Expr::Const(c) => Lowered::Affine(Affine {
+                c0: *c,
+                terms: Vec::new(),
+            }),
+            Expr::Var(v) => Lowered::Affine(Affine {
+                c0: 0,
+                terms: vec![(self.slot(v), 1)],
+            }),
+            Expr::Add(a, b) => match pair(a, b) {
+                (Lowered::Affine(a), Lowered::Affine(b)) => {
+                    Lowered::Affine(Affine::scaled_sum(a, 1, b, 1))
+                }
+                (a, b) => Lowered::Add(Box::new(a), Box::new(b)),
+            },
+            Expr::Sub(a, b) => match pair(a, b) {
+                (Lowered::Affine(a), Lowered::Affine(b)) => {
+                    Lowered::Affine(Affine::scaled_sum(a, 1, b, -1))
+                }
+                (a, b) => Lowered::Sub(Box::new(a), Box::new(b)),
+            },
+            Expr::Mul(a, b) => match pair(a, b) {
+                (Lowered::Affine(a), Lowered::Affine(b)) => match (a.constant(), b.constant()) {
+                    (_, Some(k)) => Lowered::Affine(Affine::scaled_sum(a, k, b, 0)),
+                    (Some(k), None) => Lowered::Affine(Affine::scaled_sum(a, 0, b, k)),
+                    (None, None) => {
+                        Lowered::Mul(Box::new(Lowered::Affine(a)), Box::new(Lowered::Affine(b)))
                     }
-                }
-                Stmt::Load { pc, addr } => {
-                    let a = Self::eval(addr, env, tables)?.max(0) as u64;
-                    let dep = if addr.is_data_dependent() {
-                        Dependence::PrevLoad
-                    } else {
-                        Dependence::None
-                    };
-                    tb.mem(MemAccess {
-                        pc: Pc(*pc),
-                        addr: Addr(a),
-                        kind: MemKind::Load,
-                        dep,
-                    });
-                }
-                Stmt::Store { pc, addr } => {
-                    let a = Self::eval(addr, env, tables)?.max(0) as u64;
-                    let dep = if addr.is_data_dependent() {
-                        Dependence::PrevLoad
-                    } else {
-                        Dependence::None
-                    };
-                    tb.mem(MemAccess {
-                        pc: Pc(*pc),
-                        addr: Addr(a),
-                        kind: MemKind::Store,
-                        dep,
-                    });
-                }
-                Stmt::Let { var, value } => {
-                    let v = Self::eval(value, env, tables)?;
-                    env.insert(var, v);
-                }
-                Stmt::Alu { pc, count } => tb.alu(Pc(*pc), *count),
-                Stmt::If {
-                    pc,
-                    cond,
-                    then,
-                    otherwise,
-                } => {
-                    let taken = Self::cond(cond, env, tables)?;
-                    // Data-dependent conditions consume the loaded value.
-                    let _ = cond.is_data_dependent();
-                    tb.branch(Pc(*pc), taken);
-                    if taken {
-                        Self::exec_stmts(then, env, tables, tb)?;
-                    } else {
-                        Self::exec_stmts(otherwise, env, tables, tb)?;
-                    }
-                }
-                Stmt::BlockBegin(id) => tb.begin_block(*id),
-                Stmt::BlockEnd(id) => tb.end_block(*id),
+                },
+                (a, b) => Lowered::Mul(Box::new(a), Box::new(b)),
+            },
+            Expr::Rem(a, b) => {
+                let (a, b) = pair(a, b);
+                Lowered::Rem(Box::new(a), Box::new(b))
             }
+            Expr::Div(a, b) => {
+                let (a, b) = pair(a, b);
+                Lowered::Div(Box::new(a), Box::new(b))
+            }
+            Expr::Index { table, idx } => Lowered::Index {
+                name: table,
+                table: self.tables.get(table).map(Vec::as_slice),
+                idx: Box::new(self.expr(idx)),
+            },
         }
-        Ok(())
     }
+
+    fn cond(&mut self, cond: &Cond) -> LoweredCond<'p> {
+        match cond {
+            Cond::Lt(a, b) => LoweredCond::Lt(self.expr(a), self.expr(b)),
+            Cond::NonZero(a) => LoweredCond::NonZero(self.expr(a)),
+        }
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt]) -> Vec<Op<'p>> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) -> Op<'p> {
+        let mut mem = |pc: u64, addr: &Expr, kind: MemKind| Op::Mem {
+            access: MemAccess {
+                pc: Pc(pc),
+                addr: Addr(0),
+                kind,
+                dep: if addr.is_data_dependent() {
+                    Dependence::PrevLoad
+                } else {
+                    Dependence::None
+                },
+            },
+            addr: self.expr(addr),
+        };
+        match stmt {
+            Stmt::Loop { var, count, body } => Op::Loop {
+                count: self.expr(count),
+                slot: self.slot(var),
+                // A stable back-branch PC from the loop variable's
+                // address-independent identity.
+                back_pc: Pc(0xB100_0000 | (fnv(var) & 0xFF_FFFF)),
+                body: self.stmts(body),
+            },
+            Stmt::Load { pc, addr } => mem(*pc, addr, MemKind::Load),
+            Stmt::Store { pc, addr } => mem(*pc, addr, MemKind::Store),
+            Stmt::Let { var, value } => Op::Let {
+                value: self.expr(value),
+                slot: self.slot(var),
+            },
+            Stmt::Alu { pc, count } => Op::Alu {
+                pc: Pc(*pc),
+                count: *count,
+            },
+            Stmt::If {
+                pc,
+                cond,
+                then,
+                otherwise,
+            } => Op::If {
+                pc: Pc(*pc),
+                cond: self.cond(cond),
+                then: self.stmts(then),
+                otherwise: self.stmts(otherwise),
+            },
+            Stmt::BlockBegin(id) => Op::BlockBegin(*id),
+            Stmt::BlockEnd(id) => Op::BlockEnd(*id),
+        }
+    }
+}
+
+/// Executes lowered statements — the only production execution path.
+fn run(ops: &[Op<'_>], env: &mut Env, tb: &mut TraceBuilder) -> Result<(), DslError> {
+    for op in ops {
+        match op {
+            Op::Loop {
+                slot,
+                count,
+                back_pc,
+                body,
+            } => {
+                let n = count.eval(env)?.max(0);
+                for i in 0..n {
+                    env.vals[*slot] = Some(i);
+                    run(body, env, tb)?;
+                    tb.branch(*back_pc, i + 1 != n);
+                }
+            }
+            Op::Mem { access, addr } => {
+                let a = addr.eval(env)?.max(0) as u64;
+                tb.mem(MemAccess {
+                    addr: Addr(a),
+                    ..*access
+                });
+            }
+            Op::Let { slot, value } => {
+                let v = value.eval(env)?;
+                env.vals[*slot] = Some(v);
+            }
+            Op::Alu { pc, count } => tb.alu(*pc, *count),
+            Op::If {
+                pc,
+                cond,
+                then,
+                otherwise,
+            } => {
+                let taken = cond.eval(env)?;
+                tb.branch(*pc, taken);
+                run(if taken { then } else { otherwise }, env, tb)?;
+            }
+            Op::BlockBegin(id) => tb.begin_block(*id),
+            Op::BlockEnd(id) => tb.end_block(*id),
+        }
+    }
+    Ok(())
 }
 
 /// FNV-1a over a static string, for stable synthetic PCs.
@@ -666,6 +872,372 @@ fn fnv(s: &str) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The tree interpreter the lowered executor replaced — every variable
+    //! a map lookup by name, every address tree walked on every access —
+    //! kept as the reference the lowered executor is checked against,
+    //! events and errors alike, on random programs.
+
+    use super::*;
+    use cbws_trace::TraceEvent;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Mutex};
+
+    type Tables = BTreeMap<&'static str, Vec<i64>>;
+
+    fn eval(expr: &Expr, env: &BTreeMap<Var, i64>, tables: &Tables) -> Result<i64, DslError> {
+        Ok(match expr {
+            Expr::Const(c) => *c,
+            Expr::Var(v) => *env.get(v).ok_or(DslError::UnboundVar(v))?,
+            Expr::Add(a, b) => eval(a, env, tables)?.wrapping_add(eval(b, env, tables)?),
+            Expr::Sub(a, b) => eval(a, env, tables)?.wrapping_sub(eval(b, env, tables)?),
+            Expr::Mul(a, b) => eval(a, env, tables)?.wrapping_mul(eval(b, env, tables)?),
+            Expr::Rem(a, b) => {
+                let d = eval(b, env, tables)?;
+                if d == 0 {
+                    0
+                } else {
+                    eval(a, env, tables)?.rem_euclid(d)
+                }
+            }
+            Expr::Div(a, b) => {
+                let d = eval(b, env, tables)?;
+                if d == 0 {
+                    0
+                } else {
+                    eval(a, env, tables)?.div_euclid(d)
+                }
+            }
+            Expr::Index { table, idx } => {
+                let t = tables.get(table).ok_or(DslError::UnknownTable(table))?;
+                if t.is_empty() {
+                    0
+                } else {
+                    let i = eval(idx, env, tables)?.rem_euclid(t.len() as i64) as usize;
+                    t[i]
+                }
+            }
+        })
+    }
+
+    fn cond(c: &Cond, env: &BTreeMap<Var, i64>, tables: &Tables) -> Result<bool, DslError> {
+        Ok(match c {
+            Cond::Lt(a, b) => eval(a, env, tables)? < eval(b, env, tables)?,
+            Cond::NonZero(a) => eval(a, env, tables)? != 0,
+        })
+    }
+
+    fn exec_stmts(
+        stmts: &[Stmt],
+        env: &mut BTreeMap<Var, i64>,
+        tables: &Tables,
+        tb: &mut TraceBuilder,
+    ) -> Result<(), DslError> {
+        for s in stmts {
+            match s {
+                Stmt::Loop { var, count, body } => {
+                    let n = eval(count, env, tables)?.max(0);
+                    let back_pc = Pc(0xB100_0000 | (fnv(var) & 0xFF_FFFF));
+                    for i in 0..n {
+                        env.insert(var, i);
+                        exec_stmts(body, env, tables, tb)?;
+                        tb.branch(back_pc, i + 1 != n);
+                    }
+                }
+                Stmt::Load { pc, addr } | Stmt::Store { pc, addr } => {
+                    let a = eval(addr, env, tables)?.max(0) as u64;
+                    tb.mem(MemAccess {
+                        pc: Pc(*pc),
+                        addr: Addr(a),
+                        kind: if matches!(s, Stmt::Load { .. }) {
+                            MemKind::Load
+                        } else {
+                            MemKind::Store
+                        },
+                        dep: if addr.is_data_dependent() {
+                            Dependence::PrevLoad
+                        } else {
+                            Dependence::None
+                        },
+                    });
+                }
+                Stmt::Let { var, value } => {
+                    let v = eval(value, env, tables)?;
+                    env.insert(var, v);
+                }
+                Stmt::Alu { pc, count } => tb.alu(Pc(*pc), *count),
+                Stmt::If {
+                    pc,
+                    cond: c,
+                    then,
+                    otherwise,
+                } => {
+                    let taken = cond(c, env, tables)?;
+                    tb.branch(Pc(*pc), taken);
+                    if taken {
+                        exec_stmts(then, env, tables, tb)?;
+                    } else {
+                        exec_stmts(otherwise, env, tables, tb)?;
+                    }
+                }
+                Stmt::BlockBegin(id) => tb.begin_block(*id),
+                Stmt::BlockEnd(id) => tb.end_block(*id),
+            }
+        }
+        Ok(())
+    }
+
+    /// Every event a run emits, in order — including those before an
+    /// error — and its result, or `None` if it panicked (`i64::MIN % -1`).
+    type Outcome = (Vec<TraceEvent>, Option<Result<(), DslError>>);
+
+    fn record(run: impl FnOnce(&mut TraceBuilder) -> Result<(), DslError>) -> Outcome {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let mut tb = TraceBuilder::streaming(
+            1,
+            Box::new(move |chunk| {
+                sink.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend_from_slice(chunk)
+            }),
+        );
+        let result = catch_unwind(AssertUnwindSafe(|| run(&mut tb))).ok();
+        let events = events.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        (events, result)
+    }
+
+    fn interpreted(p: &Program) -> Outcome {
+        record(|tb| exec_stmts(&p.body, &mut BTreeMap::new(), &p.tables, tb))
+    }
+
+    fn lowered(p: &Program) -> Outcome {
+        record(|tb| p.execute_into(tb))
+    }
+
+    const VARS: [Var; 4] = ["i", "j", "k", "n"];
+    const TABLES: [&str; 4] = ["t", "t", "empty", "ghost"];
+
+    fn pick<T: Copy>(rng: &mut TestRng, xs: &[T]) -> T {
+        xs[rng.below(xs.len() as u64) as usize]
+    }
+
+    fn constant(rng: &mut TestRng) -> i64 {
+        match rng.below(8) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => rng.next_u64() as i64,
+            _ => rng.below(12) as i64 - 4,
+        }
+    }
+
+    fn bin(f: fn(Box<Expr>, Box<Expr>) -> Expr, a: Expr, b: Expr) -> Expr {
+        f(Box::new(a), Box::new(b))
+    }
+
+    fn expr(rng: &mut TestRng, depth: u32) -> Expr {
+        if depth == 0 || rng.below(3) == 0 {
+            return if rng.below(2) == 0 {
+                Expr::Const(constant(rng))
+            } else {
+                Expr::Var(pick(rng, &VARS))
+            };
+        }
+        let sub = |rng: &mut TestRng| expr(rng, depth - 1);
+        match rng.below(9) {
+            0 => bin(Expr::Add, sub(rng), sub(rng)),
+            1 => bin(Expr::Sub, sub(rng), sub(rng)),
+            2 => bin(Expr::Mul, sub(rng), sub(rng)),
+            3 => bin(Expr::Mul, sub(rng), Expr::Const(constant(rng))),
+            4 => bin(Expr::Rem, sub(rng), sub(rng)),
+            5 => bin(Expr::Div, sub(rng), sub(rng)),
+            6 => Expr::Index {
+                table: pick(rng, &TABLES),
+                idx: Box::new(sub(rng)),
+            },
+            // Terms that cancel: the fold's coefficient is 0, but the
+            // variables are still read.
+            7 => {
+                let e = sub(rng);
+                bin(Expr::Sub, e.clone(), e)
+            }
+            _ => bin(Expr::Mul, sub(rng), Expr::Const(0)),
+        }
+    }
+
+    /// A trip count in `-2..=4`, possibly computed (and possibly failing).
+    fn count(rng: &mut TestRng) -> Expr {
+        match rng.below(4) {
+            0 => Expr::Const(rng.below(7) as i64 - 2),
+            1 => Expr::Const(1 + rng.below(4) as i64),
+            _ => bin(
+                Expr::Sub,
+                bin(Expr::Rem, expr(rng, 2), Expr::Const(7)),
+                Expr::Const(2),
+            ),
+        }
+    }
+
+    fn stmts(rng: &mut TestRng, depth: u32, min: u64, max: u64) -> Vec<Stmt> {
+        (0..min + rng.below(max - min + 1))
+            .map(|_| stmt(rng, depth))
+            .collect()
+    }
+
+    fn stmt(rng: &mut TestRng, depth: u32) -> Stmt {
+        let pc = rng.below(64);
+        match rng.below(if depth == 0 { 5 } else { 8 }) {
+            0 => Stmt::Load {
+                pc,
+                addr: expr(rng, 3),
+            },
+            1 => Stmt::Store {
+                pc,
+                addr: expr(rng, 3),
+            },
+            2 | 3 => Stmt::Let {
+                var: pick(rng, &VARS),
+                value: expr(rng, 2),
+            },
+            4 => Stmt::Alu {
+                pc,
+                count: rng.below(3) as u32,
+            },
+            5 => {
+                let cond = if rng.below(2) == 0 {
+                    Cond::Lt(expr(rng, 2), expr(rng, 2))
+                } else {
+                    Cond::NonZero(expr(rng, 2))
+                };
+                Stmt::If {
+                    pc,
+                    cond,
+                    then: stmts(rng, depth - 1, 0, 2),
+                    otherwise: stmts(rng, depth - 1, 0, 2),
+                }
+            }
+            _ => Stmt::Loop {
+                var: pick(rng, &VARS),
+                count: count(rng),
+                body: stmts(rng, depth - 1, 1, 3),
+            },
+        }
+    }
+
+    /// Random programs: a few leading bindings, nested loops and ifs,
+    /// annotated or not, then unrolled and/or split or left as they are.
+    struct Programs;
+
+    impl Strategy for Programs {
+        type Value = Program;
+
+        fn sample(&self, rng: &mut TestRng) -> Program {
+            let mut body = Vec::new();
+            for var in VARS {
+                if rng.below(4) != 0 {
+                    body.push(Stmt::Let {
+                        var,
+                        value: Expr::Const(constant(rng)),
+                    });
+                }
+            }
+            for _ in 0..1 + rng.below(3) {
+                let s = match rng.below(2) {
+                    0 => Stmt::Loop {
+                        var: pick(rng, &VARS),
+                        count: count(rng),
+                        body: stmts(rng, 2, 1, 3),
+                    },
+                    _ => stmt(rng, 3),
+                };
+                body.push(s);
+            }
+            let t = (0..1 + rng.below(4)).map(|_| constant(rng)).collect();
+            let mut p = Program::new(body).table("t", t).table("empty", Vec::new());
+            if rng.below(4) != 0 {
+                p.annotate();
+            }
+            match rng.below(4) {
+                0 => {}
+                1 => p.unroll_innermost(1 + rng.below(3) as usize),
+                2 => p.split_innermost(),
+                _ => {
+                    p.split_innermost();
+                    p.unroll_innermost(2);
+                }
+            }
+            p
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn lowered_executor_matches_the_tree_interpreter(
+            programs in collection::vec(Programs, 8..9)
+        ) {
+            for p in &programs {
+                prop_assert_eq!(lowered(p), interpreted(p), "program: {:?}", p);
+            }
+        }
+    }
+
+    fn load(addr: Expr) -> Program {
+        Program::new(vec![Stmt::Load { pc: 0, addr }])
+    }
+
+    /// The lowered result, after checking it against the interpreter.
+    fn checked(p: &Program) -> Option<Result<(), DslError>> {
+        let got = lowered(p);
+        assert_eq!(got, interpreted(p));
+        got.1
+    }
+
+    use super::e::{c, idx, v};
+
+    #[test]
+    fn unbound_errors_name_the_first_variable_read() {
+        let err = |v| Some(Err(DslError::UnboundVar(v)));
+        assert_eq!(checked(&load(v("a").add(v("b")))), err("a"));
+        // The divisor is read first, and a zero divisor skips the dividend.
+        let rem = Expr::Rem(Box::new(v("a")), Box::new(v("b")));
+        assert_eq!(checked(&load(rem)), err("b"));
+        let div = Expr::Div(Box::new(v("a")), Box::new(c(0)));
+        assert_eq!(checked(&load(div)), Some(Ok(())));
+        // Cancelling terms still read their variable.
+        let cancel = Expr::Sub(Box::new(v("a")), Box::new(v("a")));
+        assert_eq!(checked(&load(cancel)), err("a"));
+        assert_eq!(checked(&load(v("a").mul(c(0)))), err("a"));
+    }
+
+    #[test]
+    fn unknown_tables_fail_before_their_index_is_read() {
+        assert_eq!(
+            checked(&load(idx("ghost", v("a")))),
+            Some(Err(DslError::UnknownTable("ghost")))
+        );
+        let empty = load(idx("empty", v("a"))).table("empty", Vec::new());
+        assert_eq!(checked(&empty), Some(Ok(())));
+    }
+
+    #[test]
+    fn folding_wraps_like_the_interpreter() {
+        let p = Program::new(vec![
+            Stmt::Let {
+                var: "x",
+                value: c(i64::MAX),
+            },
+            Stmt::Load {
+                pc: 0,
+                addr: Expr::Sub(Box::new(v("x").mul(c(3))), Box::new(c(i64::MIN))),
+            },
+        ]);
+        assert_eq!(checked(&p), Some(Ok(())));
+    }
 }
 
 #[cfg(test)]

@@ -92,13 +92,12 @@
 
 use crate::{Scale, WorkloadSpec};
 use cbws_telemetry::{warn, Spans, Telemetry};
-use cbws_trace::{
-    FrameEntry, FramedTrace, PackedTrace, StreamObserver, Trace, TraceBuilder, TraceEvent,
-};
+use cbws_trace::{FrameEntry, FramedTrace, PackedTrace, StreamObserver, TraceBuilder, TraceEvent};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -392,7 +391,7 @@ impl<W: Write> FrameSink<W> {
         if self.error.is_some() || chunk.is_empty() {
             return;
         }
-        let packed = PackedTrace::from_trace(&Trace::from_events(chunk.to_vec()));
+        let packed = PackedTrace::from_events(chunk);
         let entry = FrameEntry::of(&packed, self.offset);
         match self.write(packed.payload()) {
             Ok(()) => self.entries.push(entry),
@@ -655,8 +654,17 @@ impl TraceStore {
         hash: u64,
         path: &Path,
     ) -> std::io::Result<FileMeta> {
+        // The temp name is unique per write, not just per process: two
+        // stores on one directory may generate the same key concurrently,
+        // and a shared temp path would let one writer truncate the other's
+        // half-written file.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let result = File::create(&tmp)
             .and_then(|file| self.write_trace(workload, scale, hash, file))
             .and_then(|(file, meta)| {
@@ -1156,6 +1164,52 @@ mod tests {
         assert_eq!(t.to_trace(), w.generate(Scale::Tiny));
         assert_eq!(counter(&telemetry, "trace_store.write"), 0);
         let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn two_stores_on_one_directory_write_the_same_key_concurrently() {
+        let dir = scratch_dir("race");
+        let w = by_name("nw").unwrap();
+        let expect = w.generate(Scale::Small);
+        // Small frames stretch each write over many syscalls, widening the
+        // window in which the two writers overlap.
+        let stores = [
+            TraceStore::at(&dir).with_frame_events(64),
+            TraceStore::at(&dir).with_frame_events(64),
+        ];
+        let telemetry = Telemetry::enabled_default();
+        for store in &stores {
+            store.set_telemetry(telemetry.clone());
+        }
+        let barrier = std::sync::Barrier::new(stores.len());
+        let traces: Vec<Arc<FramedTrace>> = std::thread::scope(|s| {
+            let handles: Vec<_> = stores
+                .iter()
+                .map(|store| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        store.get(w, Scale::Small)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for t in &traces {
+            assert_eq!(t.to_trace(), expect);
+        }
+        // Both writers completed their own file; neither fell back to
+        // serving from memory.
+        assert_eq!(counter(&telemetry, "trace_store.write"), 2);
+        // The file left behind verifies, and no temp file survives.
+        let telemetry = Telemetry::enabled_default();
+        let fresh = TraceStore::at(&dir);
+        fresh.set_telemetry(telemetry.clone());
+        fresh.get(w, Scale::Small);
+        assert_eq!(counter(&telemetry, "trace_store.hit"), 1);
+        assert_eq!(counter(&telemetry, "trace_store.invalidate"), 0);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
