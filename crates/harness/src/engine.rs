@@ -410,6 +410,9 @@ struct JobQueue<'a> {
     scale: Scale,
     workloads: &'a [&'static WorkloadSpec],
     kinds: &'a [PrefetcherKind],
+    /// `config_hash` of each of `kinds` under the run's system
+    /// configuration, computed once per run rather than once per job.
+    config_hashes: Vec<u64>,
     job_count: usize,
     stream_threshold: u64,
     /// Next unclaimed job index.
@@ -456,7 +459,8 @@ impl JobQueue<'_> {
             }
             drop(idle);
             let w = self.workloads[i / self.kinds.len()];
-            let kind = self.kinds[i % self.kinds.len()];
+            let k = i % self.kinds.len();
+            let kind = self.kinds[k];
             let job_span = spans.is_enabled().then(|| {
                 let g = spans.begin(&format!("{}/{}", w.name, kind.name()));
                 g.attr("workload", w.name)
@@ -465,7 +469,7 @@ impl JobQueue<'_> {
                 g
             });
             let job_start = Instant::now();
-            let (record, cached) = self.run_job(&sim, w, kind, &mut stats);
+            let (record, cached) = self.run_job(&sim, w, k, &mut stats);
             if let (Some(g), Some(_)) = (&job_span, self.store) {
                 g.attr("cached", cached);
             }
@@ -511,7 +515,7 @@ impl JobQueue<'_> {
         (done, stats)
     }
 
-    /// Runs one `(workload, prefetcher)` job. With a result store attached
+    /// Runs one `(workload, kinds[k])` job. With a result store attached
     /// it is consulted first — a verified hit skips the trace load and the
     /// simulation; a miss (or no store) loads the trace, simulates, and
     /// persists the fresh record. Each slice of the job lands in its phase
@@ -521,12 +525,13 @@ impl JobQueue<'_> {
         &self,
         sim: &Simulator,
         w: &'static WorkloadSpec,
-        kind: PrefetcherKind,
+        k: usize,
         stats: &mut WorkerStats,
     ) -> (RunRecord, bool) {
+        let kind = self.kinds[k];
         let key = self
             .store
-            .map(|_| ResultKey::new(w, self.scale, kind, &self.cfg.system));
+            .map(|_| ResultKey::with_config_hash(w, self.scale, kind, self.config_hashes[k]));
         if let (Some(st), Some(key)) = (self.store, key.as_ref()) {
             let lookup_start = Instant::now();
             let hit = st.get(key);
@@ -639,6 +644,10 @@ impl Engine {
             scale,
             workloads,
             kinds,
+            config_hashes: kinds
+                .iter()
+                .map(|&kind| result_store::config_hash(kind, &self.cfg.system))
+                .collect(),
             job_count,
             stream_threshold: self.cfg.resolved_stream_threshold(),
             next: AtomicUsize::new(0),
@@ -1010,6 +1019,14 @@ mod tests {
         assert_eq!(fresh.store_hits(), 0);
         assert_eq!(fresh.store_misses(), fresh.job_count);
         assert_eq!(fresh.records, serial, "fresh cached run must equal serial");
+        // The engine keys jobs from config hashes computed once per run;
+        // they must address the same entries as `ResultKey::new`.
+        let system = cfg(1).system;
+        for (i, record) in serial.iter().enumerate() {
+            let (w, kind) = (workloads[i / kinds.len()], kinds[i % kinds.len()]);
+            let key = ResultKey::new(w, Scale::Tiny, kind, &system);
+            assert_eq!(store.get(&key).as_ref(), Some(record), "{key:?}");
+        }
         // The miss lookups and the writes are the `store` phase.
         let phases = fresh.phases();
         assert_eq!(

@@ -71,7 +71,7 @@ use cbws_telemetry::{warn, Spans, Telemetry};
 use cbws_workloads::trace_store::{fnv1a, workload_hash};
 use cbws_workloads::{Scale, WorkloadSpec};
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -263,12 +263,25 @@ impl ResultKey {
         kind: PrefetcherKind,
         system: &SystemConfig,
     ) -> ResultKey {
+        ResultKey::with_config_hash(workload, scale, kind, config_hash(kind, system))
+    }
+
+    /// [`ResultKey::new`] for a caller that already holds
+    /// `config_hash(kind, system)`. Serializing the [`SystemConfig`] costs
+    /// more than the rest of the key, so the engine hashes each kind once
+    /// per sweep and builds every job's key from that.
+    pub fn with_config_hash(
+        workload: &'static WorkloadSpec,
+        scale: Scale,
+        kind: PrefetcherKind,
+        config_hash: u64,
+    ) -> ResultKey {
         ResultKey {
             workload: workload.name,
             scale,
             kind,
             trace_hash: workload_hash(workload),
-            config_hash: config_hash(kind, system),
+            config_hash,
         }
     }
 
@@ -350,12 +363,18 @@ fn invalid<T>(reason: impl Into<String>) -> Result<T, LoadError> {
 }
 
 /// Parses and fully verifies a store file into the record it holds.
-fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<RunRecord, LoadError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+/// Returns the open handle too, so a hit can bump the entry's mtime
+/// without opening the file a second time.
+fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord, File), LoadError> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
         Err(e) => return invalid(format!("unreadable: {e}")),
     };
+    let mut bytes = Vec::new();
+    if let Err(e) = file.read_to_end(&mut bytes) {
+        return invalid(format!("unreadable: {e}"));
+    }
     let mut at = 0usize;
     let take = |at: &mut usize, n: usize| -> Result<&[u8], LoadError> {
         let end = at.checked_add(n).filter(|&e| e <= bytes.len());
@@ -407,7 +426,7 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<RunRecord, 
     if record.workload != key.workload || record.prefetcher != key.kind.name() {
         return invalid("stored record does not match its key");
     }
-    Ok(record)
+    Ok((record, file))
 }
 
 /// Serializes a record into the version-1 file bytes for `key_hash`.
@@ -552,14 +571,14 @@ impl ResultStore {
         let loaded = load_file(&path, key.hash(self.hash_salt), key);
         drop(load_span);
         match loaded {
-            Ok(record) => {
+            Ok((record, file)) => {
                 telemetry.count("result_store.hit", 1);
                 telemetry.count("result_store.load_us", started.elapsed().as_micros() as u64);
-                // LRU touch: a served entry becomes the newest, so the
-                // byte-budget eviction removes cold entries first.
-                if let Ok(f) = File::options().append(true).open(&path) {
-                    let _ = f.set_modified(std::time::SystemTime::now());
-                }
+                // LRU touch on the handle the load read through: a served
+                // entry becomes the newest, so the byte-budget eviction
+                // removes cold entries first. A failed touch (say, a
+                // filesystem without settable times) only costs LRU order.
+                let _ = file.set_modified(std::time::SystemTime::now());
                 Some(record)
             }
             Err(LoadError::Missing) => {
@@ -907,6 +926,92 @@ mod tests {
             .map(|e| e.metadata().unwrap().len())
             .sum();
         assert!(total <= entry_len * 5 / 2, "store must end under budget");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hit bumps the served entry's mtime, so eviction takes the entry
+    /// that was never read before the older one that was just served.
+    #[test]
+    fn hits_refresh_lru_order() {
+        let dir = scratch_dir("lruhit");
+        let w = by_name("stencil-default").unwrap();
+        let kinds = [
+            PrefetcherKind::None,
+            PrefetcherKind::Stride,
+            PrefetcherKind::Sms,
+        ];
+        let records: Vec<RunRecord> = kinds.iter().map(|&k| simulate(w, k)).collect();
+        let keys: Vec<ResultKey> = kinds
+            .iter()
+            .map(|&k| ResultKey::new(w, Scale::Tiny, k, &SystemConfig::default()))
+            .collect();
+        let entry_len = encode_file(keys[0].hash(0), &records[0]).len() as u64;
+        let telemetry = Telemetry::enabled_default();
+        let store = ResultStore::with_budget(&dir, Some(entry_len * 5 / 2));
+        store.set_telemetry(telemetry.clone());
+        let mtime = |key: &ResultKey| {
+            std::fs::metadata(store.path_for(key))
+                .unwrap()
+                .modified()
+                .unwrap()
+        };
+        let backdated = |secs| std::time::UNIX_EPOCH + std::time::Duration::from_secs(secs);
+        // keys[0] is the oldest entry, keys[1] the newer one; neither read.
+        for (i, (key, record)) in keys[..2].iter().zip(&records).enumerate() {
+            store.put(key, record);
+            File::options()
+                .append(true)
+                .open(store.path_for(key))
+                .unwrap()
+                .set_modified(backdated(i as u64 + 1))
+                .unwrap();
+        }
+        assert_eq!(store.get(&keys[0]).as_ref(), Some(&records[0]));
+        assert!(
+            mtime(&keys[0]) > backdated(1000),
+            "a hit must refresh the mtime"
+        );
+        assert_eq!(mtime(&keys[1]), backdated(2), "no other entry is touched");
+        // A third entry overflows the budget: the unread entry goes first.
+        store.put(&keys[2], &records[2]);
+        assert_eq!(counter(&telemetry, "result_store.evict"), 1);
+        assert!(
+            store.path_for(&keys[0]).exists(),
+            "the served entry survives"
+        );
+        assert!(
+            !store.path_for(&keys[1]).exists(),
+            "the unread entry goes first"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A read-only entry is still served; bumping its mtime may or may not
+    /// succeed depending on ownership and privileges, and either way the
+    /// hit stands.
+    #[test]
+    fn read_only_entry_is_still_a_hit() {
+        let dir = scratch_dir("readonly");
+        let w = by_name("nw").unwrap();
+        let key = ResultKey::new(
+            w,
+            Scale::Tiny,
+            PrefetcherKind::Stride,
+            &SystemConfig::default(),
+        );
+        let record = simulate(w, PrefetcherKind::Stride);
+        let telemetry = Telemetry::enabled_default();
+        let store = ResultStore::at(&dir);
+        store.set_telemetry(telemetry.clone());
+        store.put(&key, &record);
+        let path = store.path_for(&key);
+        let mut perms = std::fs::metadata(&path).unwrap().permissions();
+        perms.set_readonly(true);
+        std::fs::set_permissions(&path, perms).unwrap();
+        assert_eq!(store.get(&key), Some(record));
+        assert_eq!(counter(&telemetry, "result_store.hit"), 1);
+        assert_eq!(counter(&telemetry, "result_store.invalidate"), 0);
+        assert!(path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,6 +15,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A unique per-test scratch directory (no tempfile dependency).
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -150,6 +151,24 @@ fn plumbing_routes_respond_and_errors_map_to_statuses() {
     let metrics: Value = serde_json::from_str(&body).unwrap();
     assert_eq!(uint(&metrics, "server.errors"), 3);
     assert!(uint(&metrics, "server.requests") >= 5);
+    server.shutdown();
+}
+
+/// A 2 MiB body holding one JSON string is answered 400 within a fixed
+/// bound on both JSON routes: request parsing is linear in the body.
+#[test]
+fn multi_megabyte_string_body_is_answered_400_promptly() {
+    let server = test_server("bigstring", |_| {});
+    let body = format!("\"{}\"", "x\u{e9}\\n".repeat(2 << 18));
+    assert!(body.len() >= 2 << 20);
+    for path in ["/v1/simulate", "/v1/trace"] {
+        let started = Instant::now();
+        let (status, reply) = post(server.addr(), path, &body, None);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 400, "{path}: {reply}");
+        assert!(reply.contains("must be a JSON object"), "{path}: {reply}");
+        assert!(elapsed < Duration::from_secs(10), "{path} took {elapsed:?}");
+    }
     server.shutdown();
 }
 
