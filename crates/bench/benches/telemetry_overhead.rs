@@ -1,6 +1,6 @@
 //! Measures the cost of the telemetry layer, at two granularities:
 //!
-//! * primitive ops — `count`/`record`/`observe` with the sink disabled
+//! * primitive ops — `count`/`observe` with the sink disabled
 //!   (the common case: one branch on an `Option`) and enabled;
 //! * end-to-end — a full `Simulator::run` of a CBWS+SMS configuration
 //!   with telemetry disabled and enabled.
@@ -11,7 +11,7 @@
 //! a reference simulation).
 
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
-use cbws_telemetry::{SimEvent, Telemetry};
+use cbws_telemetry::Telemetry;
 use cbws_workloads::{by_name, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -21,14 +21,6 @@ fn primitive_ops(c: &mut Criterion) {
     c.bench_function("telemetry/count_disabled", |b| {
         b.iter(|| disabled.count(black_box("l2.prefetch.issued"), 1))
     });
-    c.bench_function("telemetry/record_disabled", |b| {
-        b.iter(|| {
-            disabled.record(|now| SimEvent::PrefetchIssued {
-                cycle: now,
-                line: black_box(42),
-            })
-        })
-    });
     c.bench_function("telemetry/observe_disabled", |b| {
         b.iter(|| disabled.observe(black_box("l2.demand.latency"), black_box(300)))
     });
@@ -36,14 +28,6 @@ fn primitive_ops(c: &mut Criterion) {
     let enabled = Telemetry::enabled_default();
     c.bench_function("telemetry/count_enabled", |b| {
         b.iter(|| enabled.count(black_box("l2.prefetch.issued"), 1))
-    });
-    c.bench_function("telemetry/record_enabled", |b| {
-        b.iter(|| {
-            enabled.record(|now| SimEvent::PrefetchIssued {
-                cycle: now,
-                line: black_box(42),
-            })
-        })
     });
     c.bench_function("telemetry/observe_enabled", |b| {
         b.iter(|| enabled.observe(black_box("l2.demand.latency"), black_box(300)))

@@ -141,11 +141,18 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest `[`/`{` nesting the parser accepts, as in real `serde_json`.
+/// The parser recurses once per level, so without the bound a body of a
+/// million `[` would overflow the stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     /// The input; `bytes` is the same text as bytes.
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -188,8 +195,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.expect_literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.expect_literal("false").map(|()| Value::Bool(false)),
@@ -197,6 +204,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, failing at its
+    /// opening byte past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -365,6 +384,7 @@ fn parse_value(s: &str) -> Result<Value, Error> {
         text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -500,11 +520,30 @@ mod tests {
         assert!(from_str::<String>("\"unterminated").is_err());
     }
 
+    #[test]
+    fn nesting_is_bounded_at_128() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        for text in [nested(129), "[".repeat(1_000_000)] {
+            let err = from_str::<Value>(&text).unwrap_err().to_string();
+            assert!(
+                err.contains("at byte 128: recursion limit exceeded"),
+                "{err}"
+            );
+        }
+        // Objects count toward the same limit.
+        let mixed = "{\"a\":[".repeat(64) + &"]}".repeat(64);
+        assert!(from_str::<Value>(&mixed).is_ok());
+        let deeper = "[".to_string() + &mixed + "]";
+        assert!(from_str::<Value>(&deeper).is_err());
+    }
+
     fn parser(text: &str) -> Parser<'_> {
         Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 

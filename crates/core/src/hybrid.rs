@@ -148,7 +148,7 @@ impl Describe for CbwsSmsPrefetcher {
             "policy enum",
         ))
         .metrics(cbws_metrics())
-        .metrics(cbws_describe::instrumented_prefetcher_metrics());
+        .metrics(cbws_describe::prefetcher_hook_metrics());
         for p in cbws_params(self.cbws.config()) {
             d = d.param(ParamSpec::new(
                 format!("cbws.{}", p.name),

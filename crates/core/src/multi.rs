@@ -141,7 +141,7 @@ impl Describe for MultiCbwsPrefetcher {
             "≥ 1",
         ))
         .metrics(cbws_metrics())
-        .metrics(cbws_describe::instrumented_prefetcher_metrics());
+        .metrics(cbws_describe::prefetcher_hook_metrics());
         for p in cbws_params(&self.cfg) {
             d = d.param(ParamSpec::new(
                 format!("cbws.{}", p.name),

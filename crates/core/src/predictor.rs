@@ -3,7 +3,7 @@
 use crate::vector::{self, CbwsVec, Differential};
 use cbws_describe::{ComponentDescription, ComponentKind, Describe, MetricSpec, ParamSpec};
 use cbws_prefetchers::{PrefetchContext, Prefetcher};
-use cbws_telemetry::{SimEvent, Telemetry};
+use cbws_telemetry::Telemetry;
 use cbws_trace::{BlockId, LineAddr};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -316,8 +316,8 @@ impl CbwsPredictor {
         }
     }
 
-    /// Attaches a telemetry sink: table lookups become `TableLookup` events
-    /// and `cbws.*` metrics. The default is a disabled sink.
+    /// Attaches a telemetry sink: table lookups count as `cbws.table.*`
+    /// metrics. The default is a disabled sink.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -451,14 +451,8 @@ impl CbwsPredictor {
             }
             let tag = self.histories[step].tag(step);
             let lookup = self.table.lookup(tag);
-            let step_hit = lookup.is_some();
-            self.telemetry.record(|now| SimEvent::TableLookup {
-                cycle: now,
-                block: id.0,
-                hit: step_hit,
-            });
             self.telemetry.count(
-                if step_hit {
+                if lookup.is_some() {
                     "cbws.table.hit"
                 } else {
                     "cbws.table.miss"
@@ -544,7 +538,7 @@ impl Describe for CbwsPrefetcher {
         .paper_section("§IV-V, Fig. 8, Algorithm 1")
         .storage_bits(self.storage_bits())
         .metrics(cbws_metrics())
-        .metrics(cbws_describe::instrumented_prefetcher_metrics());
+        .metrics(cbws_describe::prefetcher_hook_metrics());
         for p in cbws_params(&self.predictor.cfg) {
             d = d.param(p);
         }

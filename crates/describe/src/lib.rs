@@ -265,9 +265,9 @@ pub trait Describe {
     fn describe(&self) -> ComponentDescription;
 }
 
-/// The metrics every prefetcher emits through the harness's
-/// `InstrumentedPrefetcher` wrapper, shared by all implementations.
-pub fn instrumented_prefetcher_metrics() -> Vec<MetricSpec> {
+/// The metrics the harness counts at every prefetcher hook (in its
+/// `PrefetchedMemory` glue), shared by all implementations.
+pub fn prefetcher_hook_metrics() -> Vec<MetricSpec> {
     vec![
         MetricSpec::counter("prefetcher.accesses", "demand accesses observed"),
         MetricSpec::counter(
@@ -310,8 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_instrumented_metrics_are_prefetcher_scoped() {
-        let ms = instrumented_prefetcher_metrics();
+    fn shared_hook_metrics_are_prefetcher_scoped() {
+        let ms = prefetcher_hook_metrics();
         assert_eq!(ms.len(), 4);
         assert!(ms.iter().all(|m| m.path.starts_with("prefetcher.")));
     }

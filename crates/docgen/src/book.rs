@@ -247,7 +247,7 @@ fn reproducing() -> String {
          | `--progress` | verbose per-phase and heartbeat logging |\n\
          | `--resume` | report how many jobs an interrupted sweep left behind; only those are simulated (the rest come from the [result store](result-store.md)) |\n\
          | `--no-result-cache` | turn the persistent result store off for this run (every job simulates) |\n\
-         | `--trace-out F` / `--metrics-out F` | JSONL event trace / JSON metrics dump (see below) |\n\n\
+         | `--metrics-out F` | JSON metrics dump (see below) |\n\n\
          ## Environment\n\n\
          | variable | effect |\n|---|---|\n\
          | `CBWS_TRACE_CACHE_BYTES` | byte budget of the shared trace cache \
@@ -276,10 +276,10 @@ fn reproducing() -> String {
          a write exceeds it. |\n\n\
          ## Observability\n\n\
          Telemetry is off by default and costs one branch per hook when \
-         disabled. `--trace-out` captures the structured event trace \
-         (prefetch lifecycle, Fig. 13 demand classification, block \
-         begin/end, differential-table lookups); `--metrics-out` dumps the \
-         dotted-path metrics registry, including the \
+         disabled. `--metrics-out` dumps the dotted-path metrics registry: \
+         the prefetch lifecycle, Fig. 13 demand classification, block \
+         begin/end and differential-table lookups, each as a counter, plus \
+         the \
          `trace_store.{{hit,miss,write,invalidate}}` counters and \
          `trace_store.{{load_us,generate_us}}` timings that show whether a \
          run replayed stored traces or regenerated them. The per-component \
@@ -405,7 +405,7 @@ fn trace_store(root: &Path) -> Result<String, String> {
          atomic (temp file + rename), so a crashed run cannot leave a torn \
          file that poisons the next one.\n\n\
          ## Telemetry\n\n\
-         With telemetry enabled (`--trace-out`/`--metrics-out`), the store \
+         With telemetry enabled (`--metrics-out`), the store \
          counts `trace_store.hit`, `.miss`, `.write`, and `.invalidate`, \
          and accumulates `trace_store.load_us` / `.generate_us`; a warm CI \
          run asserts `trace_store.hit > 0`. Every drained streamed cursor \
@@ -505,9 +505,9 @@ fn observability() -> String {
     format!(
         "{}# Observability\n\n\
          Three layers, all off by default and near-free when disabled:\n\n\
-         1. **Telemetry** (`--trace-out F`, `--metrics-out F`) — structured \
-         event trace and dotted-path metrics registry; one branch per hook \
-         when disabled. See [Reproducing the figures](reproducing.md).\n\
+         1. **Telemetry** (`--metrics-out F`) — the dotted-path metrics \
+         registry, the one counter primitive; one branch per hook when \
+         disabled. See [Reproducing the figures](reproducing.md).\n\
          2. **Span tracing** (`--spans-out F`) — nested, thread-tagged \
          wall-clock spans exported as a Chrome trace-event JSON file.\n\
          3. **Heartbeat** (`--progress`) — rate-limited `n/total` job \

@@ -6,26 +6,26 @@
 //! ```text
 //! simulate --workload stencil-default [--scale small] [--jobs N] \
 //!          [--prefetcher SMS] [--dram] [--export trace.json] \
-//!          [--trace-out events.jsonl] [--metrics-out metrics.json] \
-//!          [--spans-out spans.json] [--resume] [--no-result-cache] \
-//!          [--quiet | --progress]
+//!          [--metrics-out metrics.json] [--spans-out spans.json] \
+//!          [--resume] [--no-result-cache] [--quiet | --progress]
 //! simulate --trace mytrace.json --prefetcher CBWS+SMS
 //! ```
 //!
 //! With no `--workload`/`--trace`, the `stencil-default` workload runs.
 //! With no `--prefetcher`, all seven paper configurations run.
 //!
-//! `--trace-out` captures the structured event trace (prefetch lifecycle,
-//! Fig. 13 demand classification, block boundaries, table lookups,
-//! evictions) as JSON Lines; `--metrics-out` dumps the hierarchical metrics
-//! registry as nested JSON. Both aggregate over every simulated prefetcher
-//! of the invocation (the `run.*` gauges reflect the last run); pass
-//! `--prefetcher` to capture a single configuration. A run manifest is
-//! written to `results/simulate.manifest.json`.
+//! `--metrics-out` dumps the hierarchical metrics registry as nested JSON:
+//! the prefetch lifecycle, the Fig. 13 demand classes, evictions, block
+//! boundaries and differential-table lookups, each as a counter. It
+//! aggregates over every simulated prefetcher of the invocation (the
+//! `run.*` gauges reflect the last run); pass `--prefetcher` to capture a
+//! single configuration. A run manifest is written to
+//! `results/simulate.manifest.json`. The retired `--trace-out` event trace
+//! is rejected with exit status 2.
 //!
 //! Registered workloads run through the work-stealing engine (`--jobs N`
-//! workers, default all cores) unless `--trace-out`/`--metrics-out` ask
-//! for shared per-run telemetry, which requires serial execution.
+//! workers, default all cores) unless `--metrics-out` asks for shared
+//! per-run telemetry, which requires serial execution.
 
 use cbws_harness::experiments::{
     jobs_from_args, result_cache_from_args, scale_from_args, session_spans, write_session_spans,
@@ -51,8 +51,8 @@ fn fail(msg: &str) -> ! {
     eprintln!(
         "usage: simulate [--workload <name> | --trace <file.json>] \
          [--scale tiny|small|full|huge] [--prefetcher <name>] [--dram] \
-         [--export <file.json>] [--trace-out <file.jsonl>] \
-         [--metrics-out <file.json>] [--spans-out <file.json>] \
+         [--export <file.json>] [--metrics-out <file.json>] \
+         [--spans-out <file.json>] \
          [--quiet | --progress]"
     );
     std::process::exit(2);
@@ -61,6 +61,12 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     cbws_telemetry::log::apply_cli_flags(&args);
+    if args.iter().any(|a| a == "--trace-out") {
+        fail(
+            "--trace-out was removed: every event it traced is a counter now; \
+             use --metrics-out <file.json>",
+        );
+    }
 
     let scale = scale_from_args();
     let mut spec: Option<&'static WorkloadSpec> = None;
@@ -118,9 +124,8 @@ fn main() {
         cfg.mem.dram = Some(DramConfig::default());
     }
 
-    let trace_out = arg_value(&args, "--trace-out");
     let metrics_out = arg_value(&args, "--metrics-out");
-    let telemetry = if trace_out.is_some() || metrics_out.is_some() {
+    let telemetry = if metrics_out.is_some() {
         Telemetry::enabled_default()
     } else {
         Telemetry::disabled()
@@ -155,11 +160,11 @@ fn main() {
         }
     }
 
-    // Registered workloads with no shared-telemetry outputs go through the
-    // engine; external traces and telemetry captures run serially.
+    // Registered workloads without `--metrics-out` go through the engine;
+    // external traces and metrics captures run serially.
     let mut manifest = RunManifest::new("simulate", scale, [label.clone()], kinds.clone(), cfg);
     let records: Vec<RunRecord> = match spec {
-        Some(w) if trace_out.is_none() && metrics_out.is_none() => {
+        Some(w) if metrics_out.is_none() => {
             let engine = Engine::new(EngineConfig {
                 jobs: jobs_from_args(),
                 system: cfg,
@@ -216,23 +221,6 @@ fn main() {
     }
     result!("{table}");
 
-    if let Some(path) = &trace_out {
-        let f = std::fs::File::create(path)
-            .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-        telemetry
-            .write_trace_jsonl(std::io::BufWriter::new(f))
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        let dropped = telemetry.events_dropped();
-        status!(
-            "[simulate] wrote {} events to {path}{}",
-            telemetry.events().len(),
-            if dropped > 0 {
-                format!(" ({dropped} oldest dropped by ring wraparound)")
-            } else {
-                String::new()
-            }
-        );
-    }
     if let Some(path) = &metrics_out {
         let f = std::fs::File::create(path)
             .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));

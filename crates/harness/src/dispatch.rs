@@ -1,18 +1,14 @@
-//! Enum dispatch over the concrete prefetcher types — the devirtualized
-//! replay path.
+//! Enum dispatch over the concrete prefetcher types — the one prefetcher
+//! path every simulation runs.
 //!
-//! [`crate::PrefetcherKind::build`] returns `Box<dyn Prefetcher>`, which
-//! costs a vtable call per committed access and hides the prefetcher from
-//! the inliner in the hottest loop of the whole simulator. [`AnyPrefetcher`]
-//! carries the same twelve configurations as an enum, so
+//! [`AnyPrefetcher`] carries the twelve configurations as an enum, so
 //! `PrefetchedMemory<AnyPrefetcher>` is a concrete type whose `on_access`
-//! is a direct (inlinable) match. The `dyn` path still exists — the
-//! telemetry-enabled runner wraps `Box<dyn Prefetcher>` in
-//! `InstrumentedPrefetcher` — but results are identical either way:
-//! dispatch strategy affects time, never simulation output.
+//! is a direct (inlinable) match instead of a vtable call per committed
+//! access. Storage budgets and self-descriptions go through the same enum.
 
 use crate::runner::{PrefetcherKind, SystemConfig};
 use cbws_core::{CbwsPrefetcher, CbwsSmsPrefetcher, MultiCbwsPrefetcher};
+use cbws_describe::{ComponentDescription, Describe};
 use cbws_prefetchers::{
     AmpmConfig, AmpmPrefetcher, FeedbackDirected, GhbConfig, GhbPrefetcher, MarkovConfig,
     MarkovPrefetcher, NullPrefetcher, PrefetchContext, Prefetcher, SmsPrefetcher, StemsConfig,
@@ -51,8 +47,7 @@ pub enum AnyPrefetcher {
 }
 
 impl PrefetcherKind {
-    /// Builds the enum-dispatched equivalent of [`PrefetcherKind::build`],
-    /// with the same Table II configuration.
+    /// Builds the prefetcher with its Table II configuration.
     pub fn build_any(self, cfg: &SystemConfig) -> AnyPrefetcher {
         match self {
             PrefetcherKind::None => AnyPrefetcher::None(NullPrefetcher),
@@ -130,33 +125,8 @@ impl Prefetcher for AnyPrefetcher {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const ALL: [PrefetcherKind; 12] = [
-        PrefetcherKind::None,
-        PrefetcherKind::Stride,
-        PrefetcherKind::GhbPcDc,
-        PrefetcherKind::GhbGDc,
-        PrefetcherKind::Sms,
-        PrefetcherKind::Cbws,
-        PrefetcherKind::CbwsSms,
-        PrefetcherKind::Ampm,
-        PrefetcherKind::FdpSms,
-        PrefetcherKind::MultiCbws,
-        PrefetcherKind::Stems,
-        PrefetcherKind::Markov,
-    ];
-
-    #[test]
-    fn enum_dispatch_agrees_with_boxed_build() {
-        let cfg = SystemConfig::default();
-        for kind in ALL {
-            let boxed = kind.build(&cfg);
-            let enumed = kind.build_any(&cfg);
-            assert_eq!(boxed.name(), enumed.name(), "{kind:?}");
-            assert_eq!(boxed.storage_bits(), enumed.storage_bits(), "{kind:?}");
-        }
+impl Describe for AnyPrefetcher {
+    fn describe(&self) -> ComponentDescription {
+        dispatch!(self, p => p.describe())
     }
 }

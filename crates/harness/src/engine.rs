@@ -838,7 +838,7 @@ mod tests {
 
     #[test]
     fn engine_metrics_and_phases_recorded() {
-        let telemetry = Telemetry::enabled(64);
+        let telemetry = Telemetry::enabled_default();
         let workloads = picks(&["stencil-default", "nw"]);
         let run = Engine::new(EngineConfig {
             jobs: 2,
@@ -1130,7 +1130,7 @@ mod tests {
         for jobs in [1, 2] {
             let done = Arc::new(AtomicUsize::new(0));
             let counter = done.clone();
-            let telemetry = Telemetry::enabled(64);
+            let telemetry = Telemetry::enabled_default();
             let run = Engine::new(EngineConfig {
                 jobs,
                 telemetry: telemetry.clone(),

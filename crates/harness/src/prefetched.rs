@@ -4,7 +4,7 @@
 use cbws_prefetchers::{PrefetchContext, Prefetcher};
 use cbws_sim_cpu::{MemResult, MemSystem};
 use cbws_sim_mem::MemoryHierarchy;
-use cbws_telemetry::{SimEvent, Telemetry};
+use cbws_telemetry::Telemetry;
 use cbws_trace::{BlockId, LineAddr, MemAccess};
 
 /// A [`MemoryHierarchy`] driven by a [`Prefetcher`].
@@ -14,6 +14,10 @@ use cbws_trace::{BlockId, LineAddr, MemAccess};
 /// does), then the prefetcher observes the access and its candidate lines
 /// are enqueued. Block boundary instructions are forwarded with their commit
 /// timestamps.
+///
+/// With telemetry attached it counts every prefetcher hook under the
+/// `prefetcher.*` namespace: `accesses`, `block_begins`, `block_ends`, and
+/// `candidates` (lines emitted across all hooks).
 pub struct PrefetchedMemory<P> {
     hierarchy: MemoryHierarchy,
     prefetcher: P,
@@ -36,8 +40,7 @@ impl<P: Prefetcher> PrefetchedMemory<P> {
         }
     }
 
-    /// Attaches a telemetry sink recording `BLOCK_BEGIN`/`BLOCK_END`
-    /// boundary events with their commit timestamps.
+    /// Attaches a telemetry sink counting the `prefetcher.*` hooks.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -57,6 +60,19 @@ impl<P: Prefetcher> PrefetchedMemory<P> {
     pub fn finish(mut self) -> cbws_sim_mem::MemStats {
         let t = self.last_time + 1;
         self.hierarchy.finish(t)
+    }
+
+    /// Counts one prefetcher hook and the candidates it left in `scratch`:
+    /// a single branch when telemetry is disabled.
+    #[inline]
+    fn note_hook(&self, hook: &str) {
+        if self.telemetry.is_enabled() {
+            self.telemetry.count(hook, 1);
+            if !self.scratch.is_empty() {
+                self.telemetry
+                    .count("prefetcher.candidates", self.scratch.len() as u64);
+            }
+        }
     }
 
     fn issue(&mut self, now: u64) {
@@ -87,6 +103,7 @@ impl<P: Prefetcher> MemSystem for PrefetchedMemory<P> {
         };
         self.scratch.clear();
         self.prefetcher.on_access(&ctx, &mut self.scratch);
+        self.note_hook("prefetcher.accesses");
         self.issue(now);
         MemResult {
             latency: out.latency,
@@ -97,12 +114,8 @@ impl<P: Prefetcher> MemSystem for PrefetchedMemory<P> {
     fn block_begin(&mut self, now: u64, id: BlockId) {
         self.last_time = self.last_time.max(now);
         self.in_block = true;
-        self.telemetry.set_clock(now);
-        self.telemetry.record(|_| SimEvent::BlockBegin {
-            cycle: now,
-            block: id.0,
-        });
         self.prefetcher.on_block_begin(id);
+        self.telemetry.count("prefetcher.block_begins", 1);
     }
 
     fn block_end(&mut self, now: u64, id: BlockId) {
@@ -110,12 +123,7 @@ impl<P: Prefetcher> MemSystem for PrefetchedMemory<P> {
         self.in_block = false;
         self.scratch.clear();
         self.prefetcher.on_block_end(id, &mut self.scratch);
-        self.telemetry.set_clock(now);
-        self.telemetry.record(|_| SimEvent::BlockEnd {
-            cycle: now,
-            block: id.0,
-            predicted: self.scratch.len() as u32,
-        });
+        self.note_hook("prefetcher.block_ends");
         self.issue(now);
     }
 }

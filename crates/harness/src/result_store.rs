@@ -144,10 +144,6 @@ const SIM_SOURCES: &[(&str, &str)] = &[
         include_str!("../../prefetchers/src/ghb.rs"),
     ),
     (
-        "prefetchers/instrumented.rs",
-        include_str!("../../prefetchers/src/instrumented.rs"),
-    ),
-    (
         "prefetchers/markov.rs",
         include_str!("../../prefetchers/src/markov.rs"),
     ),

@@ -1,13 +1,9 @@
 //! System configuration (Table II) and the simulation runner.
 
 use crate::prefetched::PrefetchedMemory;
-use cbws_core::{CbwsConfig, CbwsPrefetcher, CbwsSmsPrefetcher, MultiCbwsPrefetcher};
+use cbws_core::CbwsConfig;
 use cbws_describe::{ComponentDescription, Describe};
-use cbws_prefetchers::{
-    AmpmConfig, AmpmPrefetcher, FeedbackDirected, GhbConfig, GhbPrefetcher, InstrumentedPrefetcher,
-    MarkovConfig, MarkovPrefetcher, NullPrefetcher, Prefetcher, SmsConfig, SmsPrefetcher,
-    StemsConfig, StemsPrefetcher, StrideConfig, StridePrefetcher,
-};
+use cbws_prefetchers::{Prefetcher, SmsConfig};
 use cbws_sim_cpu::{Core, CoreConfig};
 use cbws_sim_mem::{HierarchyConfig, MemoryHierarchy};
 use cbws_stats::RunRecord;
@@ -116,56 +112,21 @@ impl PrefetcherKind {
         }
     }
 
-    /// Builds the prefetcher with its Table II configuration.
-    pub fn build(self, cfg: &SystemConfig) -> Box<dyn Prefetcher> {
-        match self {
-            PrefetcherKind::None => Box::new(NullPrefetcher),
-            PrefetcherKind::Stride => Box::new(StridePrefetcher::new(StrideConfig::default())),
-            PrefetcherKind::GhbPcDc => Box::new(GhbPrefetcher::new(GhbConfig::pcdc())),
-            PrefetcherKind::GhbGDc => Box::new(GhbPrefetcher::new(GhbConfig::gdc())),
-            PrefetcherKind::Sms => Box::new(SmsPrefetcher::new(cfg.sms())),
-            PrefetcherKind::Cbws => Box::new(CbwsPrefetcher::new(cfg.cbws())),
-            PrefetcherKind::CbwsSms => Box::new(CbwsSmsPrefetcher::new(cfg.cbws(), cfg.sms())),
-            PrefetcherKind::Ampm => Box::new(AmpmPrefetcher::new(AmpmConfig::default())),
-            PrefetcherKind::FdpSms => {
-                Box::new(FeedbackDirected::new(SmsPrefetcher::new(cfg.sms())))
-            }
-            PrefetcherKind::MultiCbws => Box::new(MultiCbwsPrefetcher::new(cfg.cbws(), 4)),
-            PrefetcherKind::Stems => Box::new(StemsPrefetcher::new(StemsConfig::default())),
-            PrefetcherKind::Markov => Box::new(MarkovPrefetcher::new(MarkovConfig::default())),
-        }
-    }
-
     /// Storage budget in bits (Table III).
     pub fn storage_bits(self, cfg: &SystemConfig) -> u64 {
-        self.build(cfg).storage_bits()
+        self.build_any(cfg).storage_bits()
     }
 
     /// Self-description of the prefetcher this kind builds: summary, paper
     /// section, storage budget, tunable parameters with their Table II
     /// defaults, and the telemetry metrics it emits.
     ///
-    /// Constructs the concrete type and delegates to [`Describe`], so a
-    /// prefetcher without a `Describe` implementation fails to compile here
-    /// rather than silently missing from the generated reference
-    /// (`cargo run -p docgen`).
+    /// Builds the prefetcher and delegates to [`Describe`], so a prefetcher
+    /// without a `Describe` implementation fails to compile (in the
+    /// [`crate::AnyPrefetcher`] impl) rather than silently missing from the
+    /// generated reference (`cargo run -p docgen`).
     pub fn description(self, cfg: &SystemConfig) -> ComponentDescription {
-        match self {
-            PrefetcherKind::None => NullPrefetcher.describe(),
-            PrefetcherKind::Stride => StridePrefetcher::new(StrideConfig::default()).describe(),
-            PrefetcherKind::GhbPcDc => GhbPrefetcher::new(GhbConfig::pcdc()).describe(),
-            PrefetcherKind::GhbGDc => GhbPrefetcher::new(GhbConfig::gdc()).describe(),
-            PrefetcherKind::Sms => SmsPrefetcher::new(cfg.sms()).describe(),
-            PrefetcherKind::Cbws => CbwsPrefetcher::new(cfg.cbws()).describe(),
-            PrefetcherKind::CbwsSms => CbwsSmsPrefetcher::new(cfg.cbws(), cfg.sms()).describe(),
-            PrefetcherKind::Ampm => AmpmPrefetcher::new(AmpmConfig::default()).describe(),
-            PrefetcherKind::FdpSms => {
-                FeedbackDirected::new(SmsPrefetcher::new(cfg.sms())).describe()
-            }
-            PrefetcherKind::MultiCbws => MultiCbwsPrefetcher::new(cfg.cbws(), 4).describe(),
-            PrefetcherKind::Stems => StemsPrefetcher::new(StemsConfig::default()).describe(),
-            PrefetcherKind::Markov => MarkovPrefetcher::new(MarkovConfig::default()).describe(),
-        }
+        self.build_any(cfg).describe()
     }
 }
 
@@ -202,9 +163,9 @@ impl Simulator {
         }
     }
 
-    /// Creates a simulator whose runs record into `telemetry`: structured
-    /// events from every layer, live `l2.*`/`cbws.*`/`prefetcher.*`
-    /// counters, and per-run `run.*` gauges.
+    /// Creates a simulator whose runs record into `telemetry`: live
+    /// `l2.*`/`cbws.*`/`prefetcher.*` counters from every layer and
+    /// per-run `run.*` gauges.
     pub fn with_telemetry(cfg: SystemConfig, telemetry: Telemetry) -> Self {
         Simulator { cfg, telemetry }
     }
@@ -223,13 +184,11 @@ impl Simulator {
     /// Simulates `trace` under `kind` and returns the run record.
     ///
     /// Generic over the trace representation (`Trace` or `PackedTrace`,
-    /// via [`EventSource`]). Dispatch is chosen by telemetry state: with
-    /// telemetry disabled (the default and the experiment configuration)
-    /// the prefetcher is the enum-dispatched
+    /// via [`EventSource`]). The prefetcher is always the enum-dispatched
     /// [`crate::AnyPrefetcher`], so the per-access path is static and
-    /// inlinable; with telemetry enabled the prefetcher is boxed and
-    /// wrapped in [`InstrumentedPrefetcher`], which needs the `dyn` path.
-    /// Both paths produce identical records — dispatch affects time only.
+    /// inlinable; telemetry, when enabled, is counted by the hierarchy,
+    /// the prefetcher glue and the predictor at their own hooks, and never
+    /// changes the record.
     pub fn run<S: EventSource + ?Sized>(
         &self,
         workload: &str,
@@ -237,32 +196,8 @@ impl Simulator {
         trace: &S,
         kind: PrefetcherKind,
     ) -> RunRecord {
-        if self.telemetry.is_enabled() {
-            let mut prefetcher = kind.build(&self.cfg);
-            prefetcher.attach_telemetry(&self.telemetry);
-            let instrumented = InstrumentedPrefetcher::new(prefetcher, self.telemetry.clone());
-            self.run_with(workload, memory_intensive, trace, kind, instrumented)
-        } else {
-            self.run_with(
-                workload,
-                memory_intensive,
-                trace,
-                kind,
-                kind.build_any(&self.cfg),
-            )
-        }
-    }
-
-    /// The replay kernel shared by both dispatch paths, monomorphized per
-    /// (trace representation, prefetcher type).
-    fn run_with<S: EventSource + ?Sized, P: Prefetcher>(
-        &self,
-        workload: &str,
-        memory_intensive: bool,
-        trace: &S,
-        kind: PrefetcherKind,
-        prefetcher: P,
-    ) -> RunRecord {
+        let mut prefetcher = kind.build_any(&self.cfg);
+        prefetcher.attach_telemetry(&self.telemetry);
         let mut hierarchy = MemoryHierarchy::new(self.cfg.mem);
         hierarchy.set_telemetry(self.telemetry.clone());
         let mut mem = PrefetchedMemory::new(hierarchy, prefetcher);
@@ -338,5 +273,83 @@ mod tests {
             .map(|&k| sim.run("nw", true, &trace, k).cpu.instructions)
             .collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    /// Every kind the harness builds, the paper's seven and the five
+    /// extensions.
+    fn every_kind() -> impl Iterator<Item = PrefetcherKind> {
+        PrefetcherKind::ALL
+            .into_iter()
+            .chain(PrefetcherKind::EXTENDED)
+    }
+
+    /// A Tiny workload whose runs overflow the prefetch queue, supersede
+    /// queued prefetches by demand (non-timely) and end with requests
+    /// still queued, so every lifecycle exit is exercised.
+    const LIFECYCLE_WORKLOAD: &str = "433.milc-su3imp";
+
+    /// Runs `kind` with a fresh enabled sink and reads a counter of it
+    /// (absent counters read 0).
+    fn traced_run(
+        trace: &cbws_trace::Trace,
+        kind: PrefetcherKind,
+    ) -> (RunRecord, impl Fn(&str) -> u64) {
+        let t = Telemetry::enabled_default();
+        let sim = Simulator::with_telemetry(SystemConfig::default(), t.clone());
+        let r = sim.run(LIFECYCLE_WORKLOAD, true, trace, kind);
+        let counter = move |path: &str| t.with_metrics(|m| m.counter(path)).unwrap().unwrap_or(0);
+        (r, counter)
+    }
+
+    #[test]
+    fn telemetry_is_transparent_and_counts_every_hook() {
+        let trace = by_name(LIFECYCLE_WORKLOAD).unwrap().generate(Scale::Tiny);
+        let stats = trace.stats();
+        assert!(stats.dynamic_blocks > 0);
+        let plain = Simulator::default();
+        for kind in every_kind() {
+            let (traced, counter) = traced_run(&trace, kind);
+            let untraced = plain.run(LIFECYCLE_WORKLOAD, true, &trace, kind);
+            assert_eq!(traced, untraced, "{}", kind.name());
+            assert_eq!(
+                counter("prefetcher.accesses"),
+                traced.cpu.mem_accesses,
+                "{}",
+                kind.name()
+            );
+            assert_eq!(
+                counter("prefetcher.block_begins"),
+                stats.dynamic_blocks,
+                "{}",
+                kind.name()
+            );
+            assert_eq!(
+                counter("prefetcher.block_ends"),
+                stats.dynamic_blocks,
+                "{}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn every_prefetch_candidate_is_accounted_for() {
+        // A candidate is dropped as a duplicate at enqueue or enters the
+        // queue; a queued request is overflowed out, issued, dropped as a
+        // duplicate at issue, superseded by its own demand access (exactly
+        // one per non-timely demand), or still queued when the run ends.
+        let trace = by_name(LIFECYCLE_WORKLOAD).unwrap().generate(Scale::Tiny);
+        let mut unissued = 0;
+        for kind in every_kind() {
+            let (_, counter) = traced_run(&trace, kind);
+            let exits = counter("l2.prefetch.issued")
+                + counter("l2.prefetch.dropped.duplicate")
+                + counter("l2.prefetch.dropped.overflow")
+                + counter("l2.prefetch.dropped.unissued")
+                + counter("l2.demand.non_timely");
+            assert_eq!(counter("prefetcher.candidates"), exits, "{}", kind.name());
+            unissued += counter("l2.prefetch.dropped.unissued");
+        }
+        assert!(unissued > 0, "the workload must end with queued prefetches");
     }
 }

@@ -148,7 +148,7 @@ impl Describe for AmpmPrefetcher {
             c.max_stride.to_string(),
             "≥ 1",
         ))
-        .metrics(cbws_describe::instrumented_prefetcher_metrics())
+        .metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

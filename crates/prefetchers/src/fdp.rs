@@ -225,7 +225,7 @@ impl<P: Prefetcher + Describe> Describe for FeedbackDirected<P> {
                 p.range,
             ));
         }
-        d.metrics(cbws_describe::instrumented_prefetcher_metrics())
+        d.metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

@@ -40,7 +40,6 @@
 mod ampm;
 mod fdp;
 mod ghb;
-mod instrumented;
 mod markov;
 mod sms;
 mod stems;
@@ -49,7 +48,6 @@ mod stride;
 pub use ampm::{AmpmConfig, AmpmPrefetcher};
 pub use fdp::{FdpConfig, FdpStats, FeedbackDirected};
 pub use ghb::{GhbConfig, GhbKind, GhbPrefetcher};
-pub use instrumented::InstrumentedPrefetcher;
 pub use markov::{MarkovConfig, MarkovPrefetcher};
 pub use sms::{SmsConfig, SmsPrefetcher};
 pub use stems::{StemsConfig, StemsPrefetcher};
@@ -131,32 +129,6 @@ pub trait Prefetcher {
     fn attach_telemetry(&mut self, _telemetry: &cbws_telemetry::Telemetry) {}
 }
 
-impl<P: Prefetcher + ?Sized> Prefetcher for Box<P> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.as_ref().storage_bits()
-    }
-
-    fn on_access(&mut self, ctx: &PrefetchContext, out: &mut Vec<LineAddr>) {
-        self.as_mut().on_access(ctx, out);
-    }
-
-    fn on_block_begin(&mut self, id: BlockId) {
-        self.as_mut().on_block_begin(id);
-    }
-
-    fn on_block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
-        self.as_mut().on_block_end(id, out);
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &cbws_telemetry::Telemetry) {
-        self.as_mut().attach_telemetry(telemetry);
-    }
-}
-
 /// The no-prefetching baseline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullPrefetcher;
@@ -172,7 +144,7 @@ impl cbws_describe::Describe for NullPrefetcher {
         )
         .paper_section("§VII (baseline)")
         .storage_bits(0)
-        .metrics(cbws_describe::instrumented_prefetcher_metrics())
+        .metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

@@ -146,7 +146,7 @@ impl Describe for MarkovPrefetcher {
             c.successors.to_string(),
             "1-4",
         ))
-        .metrics(cbws_describe::instrumented_prefetcher_metrics())
+        .metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

@@ -282,7 +282,7 @@ impl Describe for SmsPrefetcher {
         )
         .paper_section("§VII, Tables II-III (baseline)")
         .storage_bits(self.storage_bits())
-        .metrics(cbws_describe::instrumented_prefetcher_metrics());
+        .metrics(cbws_describe::prefetcher_hook_metrics());
         for p in sms_params(&self.cfg) {
             d = d.param(p);
         }

@@ -250,7 +250,7 @@ impl Describe for StemsPrefetcher {
             c.queue_capacity.to_string(),
             "≥ 1",
         ))
-        .metrics(cbws_describe::instrumented_prefetcher_metrics())
+        .metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

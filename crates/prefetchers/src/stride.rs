@@ -132,7 +132,7 @@ impl Describe for StridePrefetcher {
             c.train_on_hits.to_string(),
             "bool",
         ))
-        .metrics(cbws_describe::instrumented_prefetcher_metrics())
+        .metrics(cbws_describe::prefetcher_hook_metrics())
     }
 }
 

@@ -33,7 +33,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn test_server(tag: &str, tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let store = Arc::new(ResultStore::at(scratch_dir(tag)));
     let mut config = ServerConfig {
-        telemetry: Telemetry::enabled(64),
+        telemetry: Telemetry::enabled_default(),
         spans: Spans::enabled(),
         result_cache: ResultCache::At(store),
         ..ServerConfig::default()
@@ -169,6 +169,25 @@ fn multi_megabyte_string_body_is_answered_400_promptly() {
         assert!(reply.contains("must be a JSON object"), "{path}: {reply}");
         assert!(elapsed < Duration::from_secs(10), "{path} took {elapsed:?}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn megabyte_of_open_brackets_is_answered_400_and_server_survives() {
+    let server = test_server("deepjson", |_| {});
+    // Unbounded recursive descent would overflow the handler's stack on
+    // this body and abort the whole process.
+    let body = "[".repeat(1 << 20);
+    for path in ["/v1/simulate", "/v1/trace"] {
+        let (status, reply) = post(server.addr(), path, &body, None);
+        assert_eq!(status, 400, "{path}: {reply}");
+        assert!(
+            reply.contains("recursion limit exceeded"),
+            "{path}: {reply}"
+        );
+    }
+    let (status, _) = get(server.addr(), "/healthz");
+    assert_eq!(status, 200);
     server.shutdown();
 }
 

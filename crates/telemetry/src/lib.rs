@@ -2,56 +2,52 @@
 
 //! Observability substrate for the CBWS simulator.
 //!
-//! Three layers, all dependency-light (std + the workspace serde stand-ins):
+//! Two recording primitives, both dependency-light (std + the workspace
+//! serde stand-ins):
 //!
-//! * **Event tracing** — a fixed-capacity [`EventRing`] of structured
-//!   [`SimEvent`]s (prefetch lifecycle, Fig. 13 demand classification, CBWS
-//!   block boundaries, differential-history-table lookups, cache evictions)
-//!   with cycle timestamps, exportable as JSONL.
-//! * **Metrics** — a hierarchical [`MetricsRegistry`] of counters, gauges,
-//!   and [`Log2Histogram`]s addressable by dotted path
-//!   (`l2.prefetch.issued`), dumpable as nested JSON.
-//! * **Logging** — verbosity-gated [`result!`]/[`status!`]/[`detail!`]/
-//!   [`warn!`] macros and a rate-limited progress [`Heartbeat`].
+//! * **Metrics** — the one counter primitive: a hierarchical
+//!   [`MetricsRegistry`] of counters, gauges, and [`Log2Histogram`]s
+//!   addressable by dotted path (`l2.prefetch.issued`), dumpable as nested
+//!   JSON. Every simulator hook — the prefetch lifecycle, the Fig. 13
+//!   demand classes, evictions, CBWS block boundaries and
+//!   differential-table lookups — counts here.
+//! * **Spans** — the one wall-clock primitive: nested, per-lane [`Spans`]
+//!   exportable as a Chrome trace. Per-phase totals are not a telemetry
+//!   type; the engine keeps them with its per-worker stats.
 //!
-//! Wall-clock time has one primitive, [`Spans`]: nested, per-lane spans
-//! exportable as a Chrome trace. Per-phase totals are not a telemetry type;
-//! the engine keeps them with its per-worker stats.
+//! Console output goes through the verbosity-gated [`result!`]/
+//! [`status!`]/[`detail!`]/[`warn!`] macros and a rate-limited progress
+//! [`Heartbeat`].
 //!
-//! The [`Telemetry`] handle ties the first two together. It is cheap to
-//! clone and share across the simulator layers, and a
-//! [`Telemetry::disabled`] handle reduces every hot-path call to one branch
-//! on a `None` — verified by the `telemetry_overhead` microbenchmark in
-//! `cbws-bench`.
+//! The [`Telemetry`] handle carries the metrics registry and a span
+//! collector. It is cheap to clone and share across the simulator layers,
+//! and a [`Telemetry::disabled`] handle reduces every hot-path call to one
+//! branch on a `None` — verified by the `telemetry_overhead`
+//! microbenchmark in `cbws-bench`.
 //!
 //! ```
-//! use cbws_telemetry::{SimEvent, Telemetry};
+//! use cbws_telemetry::Telemetry;
 //!
-//! let t = Telemetry::enabled(1024);
-//! t.set_clock(100);
-//! t.record(|now| SimEvent::PrefetchIssued { cycle: now, line: 42 });
+//! let t = Telemetry::enabled_default();
 //! t.count("l2.prefetch.issued", 1);
 //! t.observe("l2.demand.latency", 332);
-//! assert_eq!(t.events().len(), 1);
+//! let issued = t.with_metrics(|m| m.counter("l2.prefetch.issued"));
+//! assert_eq!(issued, Some(Some(1)));
 //!
 //! let off = Telemetry::disabled();
-//! off.record(|now| SimEvent::PrefetchIssued { cycle: now, line: 42 }); // no-op
-//! assert!(off.events().is_empty());
+//! off.count("l2.prefetch.issued", 1); // no-op
+//! assert!(off.metrics_to_value().is_none());
 //! ```
 
-mod event;
 mod heartbeat;
 mod metrics;
-mod ring;
 mod span;
 
 pub mod log;
 
-pub use event::{CacheLevel, DemandKind, DropReason, SimEvent};
 pub use heartbeat::Heartbeat;
 pub use log::Verbosity;
 pub use metrics::{Log2Histogram, Metric, MetricsRegistry};
-pub use ring::EventRing;
 pub use span::{chrome_trace, SpanGuard, SpanRecord, Spans};
 
 use std::fmt;
@@ -59,27 +55,20 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Default event-ring capacity for [`Telemetry::enabled_default`].
-pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
-
 struct Inner {
-    ring: EventRing,
     metrics: MetricsRegistry,
-    /// Latest simulation cycle seen, used to stamp events from components
-    /// that have no clock of their own (e.g. the CBWS predictor).
-    now: u64,
     heartbeat: Heartbeat,
 }
 
 /// A shared, cloneable telemetry sink.
 ///
 /// Disabled handles carry no allocation and make every recording call a
-/// single branch; enabled handles share one ring + registry behind a mutex
+/// single branch; enabled handles share one registry behind a mutex
 /// (the simulator is single-threaded per run, so the lock is uncontended).
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Mutex<Inner>>>,
-    /// Span collector, orthogonal to the event/metrics sink: a disabled
+    /// Span collector, orthogonal to the metrics sink: a disabled
     /// `Telemetry` can still carry enabled spans (the engine keeps per-run
     /// simulator telemetry off but wants `core.run` on the timeline).
     spans: Spans,
@@ -91,12 +80,7 @@ impl fmt::Debug for Telemetry {
             None => write!(f, "Telemetry(disabled)"),
             Some(m) => {
                 let g = lock(m);
-                write!(
-                    f,
-                    "Telemetry(events: {}, metrics: {})",
-                    g.ring.len(),
-                    g.metrics.len()
-                )
+                write!(f, "Telemetry(metrics: {})", g.metrics.len())
             }
         }
     }
@@ -116,13 +100,11 @@ impl Telemetry {
         }
     }
 
-    /// An active sink with an event ring of `event_capacity`.
-    pub fn enabled(event_capacity: usize) -> Self {
+    /// An active sink with an empty metrics registry.
+    pub fn enabled_default() -> Self {
         Telemetry {
             inner: Some(Arc::new(Mutex::new(Inner {
-                ring: EventRing::new(event_capacity),
                 metrics: MetricsRegistry::new(),
-                now: 0,
                 heartbeat: Heartbeat::new(Duration::from_secs(1)),
             }))),
             spans: Spans::disabled(),
@@ -130,8 +112,8 @@ impl Telemetry {
     }
 
     /// Attaches a span collector (builder-style). Spans ride along with
-    /// every clone of this handle, independent of whether events/metrics
-    /// are enabled.
+    /// every clone of this handle, independent of whether metrics are
+    /// enabled.
     pub fn with_spans(mut self, spans: Spans) -> Self {
         self.spans = spans;
         self
@@ -149,37 +131,9 @@ impl Telemetry {
         self.spans.begin(name)
     }
 
-    /// An active sink with the default ring capacity.
-    pub fn enabled_default() -> Self {
-        Self::enabled(DEFAULT_EVENT_CAPACITY)
-    }
-
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Advances the shared event clock to `cycle` (monotone). Components
-    /// with real timestamps call this; clock-less components inherit the
-    /// stamp via the closure argument of [`Telemetry::record`].
-    #[inline]
-    pub fn set_clock(&self, cycle: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut g = lock(inner);
-        g.now = g.now.max(cycle);
-    }
-
-    /// Records one event. The closure receives the current event clock and
-    /// is only invoked when telemetry is enabled, so disabled handles pay
-    /// one branch and never construct the event.
-    #[inline]
-    pub fn record(&self, make: impl FnOnce(u64) -> SimEvent) {
-        let Some(inner) = &self.inner else { return };
-        let mut g = lock(inner);
-        let now = g.now;
-        let event = make(now);
-        g.now = g.now.max(event.cycle());
-        g.ring.push(event);
     }
 
     /// Adds `n` to the counter at `path`.
@@ -223,41 +177,6 @@ impl Telemetry {
         Some(f(&mut lock(inner).metrics))
     }
 
-    /// Snapshots the traced events, oldest-first.
-    pub fn events(&self) -> Vec<SimEvent> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => lock(inner).ring.to_vec(),
-        }
-    }
-
-    /// Events lost to ring wraparound.
-    pub fn events_dropped(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => lock(inner).ring.dropped(),
-        }
-    }
-
-    /// Writes the event trace as JSON Lines: one event object per line,
-    /// oldest-first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_trace_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        let events = lock(inner).ring.to_vec();
-        for e in &events {
-            let line = serde_json::to_string(e)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-        }
-        w.flush()
-    }
-
     /// The metrics dump as a nested JSON value; `None` when disabled.
     pub fn metrics_to_value(&self) -> Option<serde::Value> {
         let inner = self.inner.as_ref()?;
@@ -288,48 +207,16 @@ mod tests {
     fn disabled_records_nothing() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.set_clock(10);
-        t.record(|_| panic!("closure must not run when disabled"));
         t.count("a.b", 1);
         t.observe("a.h", 5);
         t.set_gauge("a.g", 1.0);
-        assert!(t.events().is_empty());
-        assert_eq!(t.events_dropped(), 0);
         assert!(t.metrics_to_value().is_none());
         assert!(t.with_metrics(|_| ()).is_none());
-        let mut buf = Vec::new();
-        t.write_trace_jsonl(&mut buf).unwrap();
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn clock_stamps_clockless_events() {
-        let t = Telemetry::enabled(16);
-        t.set_clock(500);
-        t.record(|now| SimEvent::TableLookup {
-            cycle: now,
-            block: 3,
-            hit: true,
-        });
-        assert_eq!(t.events()[0].cycle(), 500);
-        // The clock is monotone: an event with a later cycle advances it.
-        t.record(|_| SimEvent::BlockEnd {
-            cycle: 900,
-            block: 3,
-            predicted: 0,
-        });
-        t.set_clock(700); // ignored, older than 900
-        t.record(|now| SimEvent::TableLookup {
-            cycle: now,
-            block: 3,
-            hit: false,
-        });
-        assert_eq!(t.events()[2].cycle(), 900);
     }
 
     #[test]
     fn clones_share_the_sink() {
-        let t = Telemetry::enabled(16);
+        let t = Telemetry::enabled_default();
         let u = t.clone();
         u.count("shared.counter", 2);
         t.count("shared.counter", 3);
@@ -340,28 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let t = Telemetry::enabled(16);
-        t.record(|_| SimEvent::PrefetchEnqueued { cycle: 1, line: 10 });
-        t.record(|_| SimEvent::Demand {
-            cycle: 2,
-            line: 10,
-            kind: DemandKind::Missing,
-            latency: 332,
-        });
-        let mut buf = Vec::new();
-        t.write_trace_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed: Vec<SimEvent> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(parsed, t.events());
-    }
-
-    #[test]
     fn metrics_json_has_dotted_hierarchy() {
-        let t = Telemetry::enabled(16);
+        let t = Telemetry::enabled_default();
         t.count("l2.prefetch.issued", 4);
         t.observe("l2.demand.latency", 300);
         let v = t.metrics_to_value().unwrap();
@@ -392,7 +259,7 @@ mod tests {
     fn spans_ride_along_with_clones() {
         let spans = Spans::enabled();
         spans.adopt_lane(spans.lane("worker-0"));
-        // A disabled event/metrics sink can still carry enabled spans.
+        // A disabled metrics sink can still carry enabled spans.
         let t = Telemetry::disabled().with_spans(spans.clone());
         assert!(!t.is_enabled());
         assert!(t.spans().is_enabled());
