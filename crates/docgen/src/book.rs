@@ -346,10 +346,12 @@ fn trace_store(root: &Path) -> Result<String, String> {
          on both sides of the store, which is what makes the `huge` scale \
          (12× full) usable at all:\n\n\
          * **Writing streams.** A store miss feeds the kernel's emitter \
-         into a streaming `TraceBuilder`; every completed chunk of \
+         into a streaming `TraceBuilder`, which encodes each event into \
+         the open frame's column lanes as it is emitted; every \
          `frame_events` events (default 64 Ki, `CBWS_TRACE_FRAME_EVENTS`) \
-         is packed and flushed to disk immediately, so generating a huge \
-         trace never holds more than one frame of events in memory.\n\
+         the finished frame is written to disk, so generating a huge \
+         trace holds about one packed frame in memory and never a frame \
+         of unpacked events.\n\
          * **Replaying streams past a threshold.** The store picks the \
          handle's byte source from the file size: files larger than \
          `CBWS_STREAM_THRESHOLD_BYTES` (default 256 MiB; `0` streams \

@@ -9,12 +9,13 @@
 //! Binds, prints the listening address on stdout (`listening on ...`),
 //! and serves until killed. The result store follows the CLI convention:
 //! shared (`CBWS_RESULT_STORE_DIR`) unless `--no-result-cache`. Metrics
-//! and spans are always enabled — `/metrics` is the whole point of
-//! running a service.
+//! are always enabled — `/metrics` is the whole point of running a
+//! service. Spans keep [`ServerConfig`]'s default, off: no route exports
+//! them, so a long-running server would only accumulate them.
 
 use cbws_harness::ResultCache;
 use cbws_server::{Server, ServerConfig};
-use cbws_telemetry::{status, Spans, Telemetry};
+use cbws_telemetry::{status, Telemetry};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -38,7 +39,6 @@ fn main() {
 
     let mut config = ServerConfig {
         telemetry: Telemetry::enabled_default(),
-        spans: Spans::enabled(),
         result_cache: if args.iter().any(|a| a == "--no-result-cache") {
             ResultCache::Off
         } else {

@@ -24,8 +24,12 @@
 //!   optional byte quota ([`quota::QuotaLedger`]); over-quota clients
 //!   keep reading and stop writing.
 //! - **Observable lifecycle.** Every stage counts into `server.*`
-//!   metrics and opens spans on per-request lanes, scrapeable at
-//!   `/metrics` alongside the `engine.*` / `result_store.*` families.
+//!   metrics, scrapeable at `/metrics` alongside the `engine.*` /
+//!   `result_store.*` families. A server embedded with
+//!   [`ServerConfig::spans`] enabled also opens spans on per-request
+//!   lanes, read in process through [`ServerState::spans`]; no route
+//!   exports them, so the default (and the `sweep_server` binary) leaves
+//!   them off.
 //!
 //! The HTTP layer itself is hand-rolled over [`std::net`] — see
 //! [`http`] for why (no crates.io in the build environment, and the
@@ -71,6 +75,8 @@ pub struct ServerConfig {
     /// Metrics sink; `/metrics` serves its registry.
     pub telemetry: Telemetry,
     /// Span collector for request lanes and engine worker timelines.
+    /// Disabled by default: spans are only readable in process, and an
+    /// enabled collector keeps every record until it is dropped.
     pub spans: Spans,
 }
 

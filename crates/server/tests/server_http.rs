@@ -154,6 +154,31 @@ fn plumbing_routes_respond_and_errors_map_to_statuses() {
     server.shutdown();
 }
 
+/// A server on the default configuration, as the `sweep_server` binary
+/// runs, records no spans: nothing exports them, so each request would
+/// otherwise add records for the life of the process.
+#[test]
+fn default_config_server_records_no_spans() {
+    let server = Server::spawn(ServerConfig::default()).expect("ephemeral bind succeeds");
+    let addr = server.addr();
+    let workloads = ["stencil-default", "401.bzip2-source", "433.milc-su3imp"];
+    for i in 0..50 {
+        let body = format!(
+            r#"{{"workloads":["{}"],"prefetchers":["SMS"],"scale":"tiny"}}"#,
+            workloads[i % workloads.len()]
+        );
+        let (status, body) = post(addr, "/v1/simulate", &body, None);
+        assert_eq!(status, 200, "{body}");
+    }
+    let state = server.state();
+    assert!(
+        state.spans().records().is_empty(),
+        "{} span records after 50 requests",
+        state.spans().records().len()
+    );
+    server.shutdown();
+}
+
 /// A 2 MiB body holding one JSON string is answered 400 within a fixed
 /// bound on both JSON routes: request parsing is linear in the body.
 #[test]

@@ -46,7 +46,6 @@ struct QueuedPrefetch {
 #[derive(Debug, Clone, Copy)]
 struct InFlightPrefetch {
     line: LineAddr,
-    issue_time: u64,
     fill_time: u64,
     /// Set when a demand access arrives while the fill is in flight
     /// (shorter-waiting-time); the filled line is then born referenced.
@@ -87,8 +86,11 @@ impl MemoryHierarchy {
     }
 
     /// Attaches a telemetry sink; subsequent activity emits events under the
-    /// `l2.*` metric namespace. The default is a disabled sink.
+    /// `l2.*` metric namespace. The default is a disabled sink. An enabled
+    /// sink makes the L2 keep prefetch fill times, which only the
+    /// `l2.prefetch.use_distance` histogram reads.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.l2.keep_fill_times(telemetry.is_enabled());
         self.telemetry = telemetry;
     }
 
@@ -146,15 +148,6 @@ impl MemoryHierarchy {
     /// The main-memory timing engine (row-hit statistics, model).
     pub fn memory(&self) -> &MainMemory {
         &self.memory
-    }
-
-    /// Whether `line` is resident in the L2 or has a prefetch queued or in
-    /// flight. Prefetchers use this to skip already-covered lines (the paper
-    /// skips addresses that are already cached).
-    pub fn is_covered(&self, line: LineAddr) -> bool {
-        self.l2.probe(line)
-            || self.inflight.iter().any(|p| p.line == line)
-            || self.queue.iter().any(|q| q.line == line)
     }
 
     /// Requests a prefetch of `line` into the L2.
@@ -236,9 +229,10 @@ impl MemoryHierarchy {
         let l2_time = now + self.cfg.l1d.latency;
 
         // L2 hit path. `demand_touch` fuses the probe, the pre-touch
-        // metadata read (the first-reference flag drives classification, the
-        // fill time the prefetch-to-use distance histogram), and the LRU
-        // touch into one set scan.
+        // prefetch-state read (the first-reference flag drives
+        // classification, the fill time — kept only with telemetry on — the
+        // prefetch-to-use distance histogram), and the LRU touch into one
+        // set scan.
         if let Some(prior_meta) = self.l2.demand_touch(line, false) {
             let class = if let Some(meta) = prior_meta.filter(|m| !m.referenced) {
                 self.stats.timely += 1;
@@ -268,7 +262,6 @@ impl MemoryHierarchy {
         if let Some(p) = self.inflight.iter_mut().find(|p| p.line == line) {
             p.demand_hit = true;
             let meta = PrefetchMeta {
-                issue_time: p.issue_time,
                 fill_time: p.fill_time,
                 referenced: true,
             };
@@ -352,7 +345,6 @@ impl MemoryHierarchy {
                 Some(i) => {
                     let p = self.inflight.swap_remove(i);
                     let meta = PrefetchMeta {
-                        issue_time: p.issue_time,
                         fill_time: p.fill_time,
                         referenced: p.demand_hit,
                     };
@@ -441,11 +433,10 @@ impl MemoryHierarchy {
                 self.telemetry.count("l2.prefetch.dropped.duplicate", 1);
                 continue;
             }
-            let issue_time = q.enqueue_time.max(slot_free_time);
-            let fill_time = self.memory.access(issue_time, q.line);
+            let issue_at = q.enqueue_time.max(slot_free_time);
+            let fill_time = self.memory.access(issue_at, q.line);
             self.inflight.push(InFlightPrefetch {
                 line: q.line,
-                issue_time,
                 fill_time,
                 demand_hit: false,
             });

@@ -34,6 +34,8 @@
 //! ```
 
 mod cache;
+#[cfg(test)]
+mod cache_oracle;
 mod config;
 mod dram;
 mod hierarchy;

@@ -448,16 +448,23 @@ mod tests {
             }
         });
         drop(_g);
-        assert_eq!(s.lanes(), vec!["main", "worker-0", "worker-1"]);
+        // The two workers register concurrently, so only the set of lane
+        // names is fixed, not their order.
+        let lanes = s.lanes();
+        let mut sorted = lanes.clone();
+        sorted.sort();
+        assert_eq!(sorted, vec!["main", "worker-0", "worker-1"]);
         let rec = s.records();
         assert_eq!(rec.len(), 3);
-        let jobs: Vec<usize> = rec
-            .iter()
-            .filter(|r| r.name == "job")
-            .map(|r| r.lane)
-            .collect();
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs.contains(&1) && jobs.contains(&2));
+        // Each job sits on the lane named after its own worker.
+        let mut workers: Vec<String> = Vec::new();
+        for r in rec.iter().filter(|r| r.name == "job") {
+            let worker = &r.attrs.iter().find(|(k, _)| k == "worker").unwrap().1;
+            assert_eq!(lanes[r.lane], format!("worker-{worker}"));
+            workers.push(worker.clone());
+        }
+        workers.sort();
+        assert_eq!(workers, vec!["0", "1"]);
         // Each worker span sits at depth 0 of its own lane even though the
         // main lane had an open span.
         assert!(rec.iter().filter(|r| r.name == "job").all(|r| r.depth == 0));

@@ -2,7 +2,7 @@
 
 use crate::addr::{Addr, BlockId, Pc};
 use crate::event::{BranchRecord, Dependence, MemAccess, MemKind, TraceEvent};
-use crate::Trace;
+use crate::{FrameEncoder, PackedTrace, Trace};
 use std::error::Error;
 use std::fmt;
 
@@ -83,31 +83,40 @@ impl Error for BuildError {}
 /// ```
 #[derive(Default)]
 pub struct TraceBuilder {
+    /// Every emitted event, in memory mode.
     events: Vec<TraceEvent>,
     open: Option<BlockId>,
-    /// Streaming mode: once `events` holds `chunk` entries they are drained
-    /// into `sink` and the builder keeps only the unfinished remainder.
-    /// `chunk == 0` (the default) keeps every event in memory.
-    chunk: usize,
-    sink: Option<ChunkSink>,
-    emitted: u64,
+    /// Streaming mode's encoder and sink; `None` keeps every event in
+    /// `events`.
+    stream: Option<Stream>,
 }
 
-/// Callback receiving completed fixed-size event chunks from a
-/// [`TraceBuilder`] in streaming mode; see [`TraceBuilder::streaming`].
-/// Every call except possibly the final one (from
-/// [`TraceBuilder::try_finish_stream`]) delivers exactly `chunk` events.
-pub type ChunkSink = Box<dyn FnMut(&[TraceEvent]) + Send>;
+/// Streaming-mode state: events go straight into the open frame's
+/// encoder, and each full frame goes to the sink.
+struct Stream {
+    encoder: FrameEncoder,
+    frame_events: usize,
+    sink: Box<dyn FnMut(PackedTrace) + Send>,
+    /// Events in frames already handed to the sink.
+    flushed: u64,
+}
+
+impl Stream {
+    fn flush(&mut self) {
+        let frame = self.encoder.finish();
+        self.flushed += frame.event_count() as u64;
+        (self.sink)(frame);
+    }
+}
 
 impl fmt::Debug for TraceBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceBuilder")
-            .field("buffered", &self.events.len())
-            .field("open", &self.open)
-            .field("chunk", &self.chunk)
-            .field("streaming", &self.sink.is_some())
-            .field("emitted", &self.emitted)
-            .finish()
+        let mut d = f.debug_struct("TraceBuilder");
+        d.field("len", &self.len()).field("open", &self.open);
+        if let Some(s) = &self.stream {
+            d.field("frame_events", &s.frame_events);
+        }
+        d.finish()
     }
 }
 
@@ -125,40 +134,55 @@ impl TraceBuilder {
         }
     }
 
-    /// Creates a builder in **streaming mode**: whenever `chunk` events have
-    /// accumulated they are handed to `sink` and dropped from memory, so the
-    /// builder's footprint stays O(`chunk`) regardless of trace length. Block
-    /// brackets may span chunk boundaries — the discipline is still enforced
-    /// over the whole event stream. Finish with
+    /// Creates a builder in **streaming mode**: every event is encoded into
+    /// a [`FrameEncoder`] as it is emitted, and each time the open frame
+    /// reaches `frame_events` events it is finished and handed to `sink`
+    /// as a [`PackedTrace`]. The builder's footprint is the encoder's byte
+    /// lanes — about one packed frame — whatever the trace length. Block
+    /// brackets may span frame boundaries — the discipline is still
+    /// enforced over the whole event stream. Finish with
     /// [`TraceBuilder::try_finish_stream`] (the in-memory finishers panic).
+    ///
+    /// ```
+    /// use cbws_trace::{Addr, BlockId, PackedTrace, Pc, TraceBuilder};
+    /// use std::sync::{Arc, Mutex};
+    ///
+    /// let frames = Arc::new(Mutex::new(Vec::<PackedTrace>::new()));
+    /// let sink = Arc::clone(&frames);
+    /// let mut b = TraceBuilder::streaming(3, move |f| sink.lock().unwrap().push(f));
+    /// b.annotated_loop(BlockId(0), 2, |b, i| b.load(Pc(0x10), Addr(64 * i)));
+    /// assert_eq!(b.try_finish_stream().unwrap(), 8);
+    /// let sizes: Vec<usize> = frames.lock().unwrap().iter().map(|f| f.event_count()).collect();
+    /// assert_eq!(sizes, [3, 3, 2]);
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is zero.
-    pub fn streaming(chunk: usize, sink: ChunkSink) -> Self {
-        assert!(chunk > 0, "streaming chunk size must be non-zero");
+    /// Panics if `frame_events` is zero.
+    pub fn streaming(frame_events: usize, sink: impl FnMut(PackedTrace) + Send + 'static) -> Self {
+        assert!(frame_events > 0, "streaming frame size must be non-zero");
         TraceBuilder {
-            events: Vec::with_capacity(chunk),
+            events: Vec::new(),
             open: None,
-            chunk,
-            sink: Some(sink),
-            emitted: 0,
+            stream: Some(Stream {
+                encoder: FrameEncoder::new(),
+                frame_events,
+                sink: Box::new(sink),
+                flushed: 0,
+            }),
         }
     }
 
+    #[inline]
     fn push(&mut self, e: TraceEvent) {
-        self.events.push(e);
-        if self.chunk != 0 && self.events.len() >= self.chunk {
-            self.flush_chunks();
-        }
-    }
-
-    fn flush_chunks(&mut self) {
-        let sink = self.sink.as_mut().expect("chunk size set without a sink");
-        while self.events.len() >= self.chunk {
-            sink(&self.events[..self.chunk]);
-            self.events.drain(..self.chunk);
-            self.emitted += self.chunk as u64;
+        match &mut self.stream {
+            None => self.events.push(e),
+            Some(s) => {
+                s.encoder.push(e);
+                if s.encoder.len() == s.frame_events {
+                    s.flush();
+                }
+            }
         }
     }
 
@@ -287,12 +311,15 @@ impl TraceBuilder {
     /// Number of events emitted so far (including events already flushed to
     /// a streaming sink).
     pub fn len(&self) -> usize {
-        self.emitted as usize + self.events.len()
+        match &self.stream {
+            None => self.events.len(),
+            Some(s) => s.flushed as usize + s.encoder.len(),
+        }
     }
 
     /// Whether no events have been emitted yet.
     pub fn is_empty(&self) -> bool {
-        self.emitted == 0 && self.events.is_empty()
+        self.len() == 0
     }
 
     /// Finishes the trace.
@@ -307,7 +334,7 @@ impl TraceBuilder {
     /// [`TraceBuilder::try_finish_stream`]).
     pub fn try_finish(self) -> Result<Trace, BuildError> {
         assert!(
-            self.sink.is_none(),
+            self.stream.is_none(),
             "streaming builders finish with try_finish_stream"
         );
         if let Some(open) = self.open {
@@ -317,8 +344,8 @@ impl TraceBuilder {
     }
 
     /// Finishes a **streaming** build: enforces the block discipline, hands
-    /// the final partial chunk (possibly empty traces flush nothing) to the
-    /// sink, and returns the total number of events emitted.
+    /// the final partial frame to the sink (an empty one is not sent), and
+    /// returns the total number of events emitted.
     ///
     /// # Errors
     ///
@@ -327,21 +354,17 @@ impl TraceBuilder {
     /// # Panics
     ///
     /// Panics if the builder is not in streaming mode.
-    pub fn try_finish_stream(mut self) -> Result<u64, BuildError> {
-        assert!(
-            self.sink.is_some(),
-            "try_finish_stream requires a streaming builder"
-        );
+    pub fn try_finish_stream(self) -> Result<u64, BuildError> {
+        let mut stream = self
+            .stream
+            .expect("try_finish_stream requires a streaming builder");
         if let Some(open) = self.open {
             return Err(BuildError::UnclosedBlock { open });
         }
-        if !self.events.is_empty() {
-            let sink = self.sink.as_mut().expect("checked above");
-            sink(&self.events);
-            self.emitted += self.events.len() as u64;
-            self.events.clear();
+        if !stream.encoder.is_empty() {
+            stream.flush();
         }
-        Ok(self.emitted)
+        Ok(stream.flushed)
     }
 
     /// Finishes the trace.
@@ -464,39 +487,41 @@ mod tests {
     }
 
     #[test]
-    fn streaming_chunks_are_exact_and_ordered() {
+    fn streaming_frames_are_exact_and_ordered() {
         use std::sync::{Arc, Mutex};
-        let chunks: Arc<Mutex<Vec<Vec<TraceEvent>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_chunks = chunks.clone();
-        let mut b = TraceBuilder::streaming(
-            4,
-            Box::new(move |c: &[TraceEvent]| sink_chunks.lock().unwrap().push(c.to_vec())),
-        );
-        b.annotated_loop(BlockId(1), 5, |b, i| {
+        let frames: Arc<Mutex<Vec<PackedTrace>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink_frames = frames.clone();
+        let mut b = TraceBuilder::streaming(4, move |f| sink_frames.lock().unwrap().push(f));
+        let body = |b: &mut TraceBuilder, i: u64| {
             b.load(Pc(0x10), Addr(i * 64));
             b.alu(Pc(0x14), 1);
-        });
+        };
+        b.annotated_loop(BlockId(1), 5, body);
         // 5 iterations x 5 events (begin, load, alu, end, branch) = 25.
         assert_eq!(b.len(), 25);
         let total = b.try_finish_stream().unwrap();
         assert_eq!(total, 25);
-        let chunks = chunks.lock().unwrap();
-        assert_eq!(chunks.len(), 7); // 6 full chunks of 4 + tail of 1
-        assert!(chunks[..6].iter().all(|c| c.len() == 4));
-        assert_eq!(chunks[6].len(), 1);
-        // The concatenation equals the same build done in memory.
-        let streamed: Vec<TraceEvent> = chunks.iter().flatten().copied().collect();
+        let frames = frames.lock().unwrap();
+        let sizes: Vec<usize> = frames.iter().map(|f| f.event_count()).collect();
+        assert_eq!(sizes, [4, 4, 4, 4, 4, 4, 1]);
+        // The decoded concatenation equals the same build done in memory,
+        // and each frame is exactly the packing of its slice.
         let mut whole = TraceBuilder::new();
-        whole.annotated_loop(BlockId(1), 5, |b, i| {
-            b.load(Pc(0x10), Addr(i * 64));
-            b.alu(Pc(0x14), 1);
-        });
-        assert_eq!(streamed, whole.finish().events());
+        whole.annotated_loop(BlockId(1), 5, body);
+        let whole = whole.finish();
+        let streamed: Vec<TraceEvent> = frames
+            .iter()
+            .flat_map(|f| f.to_trace().events().to_vec())
+            .collect();
+        assert_eq!(streamed, whole.events());
+        for (frame, slice) in frames.iter().zip(whole.events().chunks(4)) {
+            assert_eq!(*frame, PackedTrace::from_events(slice));
+        }
     }
 
     #[test]
-    fn streaming_enforces_block_discipline_across_chunks() {
-        let mut b = TraceBuilder::streaming(1, Box::new(|_| {}));
+    fn streaming_enforces_block_discipline_across_frames() {
+        let mut b = TraceBuilder::streaming(1, |_| {});
         b.begin_block(BlockId(3));
         b.load(Pc(0), Addr(0));
         let err = b.try_finish_stream().unwrap_err();
@@ -509,12 +534,9 @@ mod tests {
         use std::sync::Arc;
         let calls = Arc::new(AtomicUsize::new(0));
         let sink_calls = calls.clone();
-        let b = TraceBuilder::streaming(
-            8,
-            Box::new(move |_: &[TraceEvent]| {
-                sink_calls.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
+        let b = TraceBuilder::streaming(8, move |_| {
+            sink_calls.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(b.try_finish_stream().unwrap(), 0);
         assert_eq!(calls.load(Ordering::Relaxed), 0);
     }

@@ -34,15 +34,17 @@ mod addr;
 mod builder;
 mod event;
 mod packed;
+#[cfg(test)]
+mod packed_oracle;
 mod stats;
 pub mod varint;
 
 pub use addr::{Addr, BlockId, LineAddr, Pc, LINE_BYTES, LINE_SHIFT};
-pub use builder::{BuildError, ChunkSink, TraceBuilder};
+pub use builder::{BuildError, TraceBuilder};
 pub use event::{BranchRecord, Dependence, MemAccess, MemKind, TraceEvent};
 pub use packed::{
-    fnv1a, EventCursor, EventRef, EventSource, FrameCursor, FrameEntry, FrameError, FramedTrace,
-    PackedError, PackedTrace, SliceCursor, StreamObserver, StreamStats,
+    fnv1a, EventCursor, EventRef, EventSource, FrameCursor, FrameEncoder, FrameEntry, FrameError,
+    FramedTrace, PackedError, PackedTrace, SliceCursor, StreamObserver, StreamStats,
 };
 pub use stats::TraceStats;
 

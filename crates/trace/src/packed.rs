@@ -196,14 +196,14 @@ impl<T: EventSource + ?Sized> EventSource for Arc<T> {
 // Tag byte: bits 0..=2 select the variant, bits 3..=5 are per-variant
 // flags, bits 6..=7 must be zero.
 const VARIANT_MASK: u8 = 0b0000_0111;
-const TAG_BLOCK_BEGIN: u8 = 0;
-const TAG_BLOCK_END: u8 = 1;
-const TAG_ALU: u8 = 2;
-const TAG_MEM: u8 = 3;
-const TAG_BRANCH: u8 = 4;
-const FLAG_STORE: u8 = 1 << 3; // mem only
-const FLAG_DEP_PREV_LOAD: u8 = 1 << 4; // mem only
-const FLAG_TAKEN: u8 = 1 << 5; // branch only
+pub(crate) const TAG_BLOCK_BEGIN: u8 = 0;
+pub(crate) const TAG_BLOCK_END: u8 = 1;
+pub(crate) const TAG_ALU: u8 = 2;
+pub(crate) const TAG_MEM: u8 = 3;
+pub(crate) const TAG_BRANCH: u8 = 4;
+pub(crate) const FLAG_STORE: u8 = 1 << 3; // mem only
+pub(crate) const FLAG_DEP_PREV_LOAD: u8 = 1 << 4; // mem only
+pub(crate) const FLAG_TAKEN: u8 = 1 << 5; // branch only
 
 /// Bytes of the payload's count header: nine little-endian `u64`s — five
 /// entry counts (events, PC entries, memory accesses, ALU events, block
@@ -363,6 +363,155 @@ fn u64_at(col: &[u8], idx: usize) -> u64 {
     u64::from_le_bytes(col[idx * 8..idx * 8 + 8].try_into().unwrap())
 }
 
+/// Encodes events into [`PackedTrace`] frames one event at a time, so a
+/// writer can push each event as the kernel emits it instead of buffering
+/// the frame as [`TraceEvent`]s first.
+///
+/// The encoder owns one growable byte lane per column. [`FrameEncoder::finish`]
+/// copies them into the frame's payload and empties them, keeping their
+/// capacity for the next frame, and restarts the delta predictors, so every
+/// frame decodes on its own.
+///
+/// ```
+/// use cbws_trace::{FrameEncoder, PackedTrace, Pc, TraceEvent};
+///
+/// let events = [TraceEvent::Alu { pc: Pc(0x400), count: 3 }; 5];
+/// let mut encoder = FrameEncoder::new();
+/// for &e in &events {
+///     encoder.push(e);
+/// }
+/// assert_eq!(encoder.len(), 5);
+/// assert_eq!(encoder.finish(), PackedTrace::from_events(&events));
+/// assert!(encoder.is_empty());
+/// ```
+#[derive(Debug, Default)]
+pub struct FrameEncoder {
+    tags: Vec<u8>,
+    pcs: Vec<u8>,
+    deltas: Vec<u8>,
+    alus: Vec<u8>,
+    blocks: Vec<u8>,
+    n_pcs: usize,
+    n_mems: usize,
+    n_alus: usize,
+    n_blocks: usize,
+    prev_addr: u64,
+    /// One PC predictor per variant (ALU / mem / branch): see the module
+    /// docs for why per-variant deltas stay short.
+    prev_pc: [u64; 3],
+}
+
+impl FrameEncoder {
+    /// An encoder with an empty open frame.
+    pub fn new() -> FrameEncoder {
+        FrameEncoder::default()
+    }
+
+    /// Events pushed since the last [`FrameEncoder::finish`].
+    pub fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Whether no event has been pushed since the last finish.
+    pub fn is_empty(&self) -> bool {
+        self.tags.is_empty()
+    }
+
+    #[inline]
+    fn push_pc(&mut self, slot: usize, pc: Pc) {
+        self.n_pcs += 1;
+        let delta = pc.0.wrapping_sub(self.prev_pc[slot]) as i64;
+        self.prev_pc[slot] = pc.0;
+        varint::encode(varint::zigzag(delta), &mut self.pcs);
+    }
+
+    /// Appends one event to the open frame.
+    #[inline]
+    pub fn push(&mut self, e: TraceEvent) {
+        let tag = match e {
+            TraceEvent::BlockBegin { id } => {
+                self.n_blocks += 1;
+                varint::encode(u64::from(id.0), &mut self.blocks);
+                TAG_BLOCK_BEGIN
+            }
+            TraceEvent::BlockEnd { id } => {
+                self.n_blocks += 1;
+                varint::encode(u64::from(id.0), &mut self.blocks);
+                TAG_BLOCK_END
+            }
+            TraceEvent::Alu { pc, count } => {
+                self.push_pc(0, pc);
+                self.n_alus += 1;
+                varint::encode(u64::from(count), &mut self.alus);
+                TAG_ALU
+            }
+            TraceEvent::Mem(m) => {
+                self.push_pc(1, m.pc);
+                self.n_mems += 1;
+                let delta = m.addr.0.wrapping_sub(self.prev_addr) as i64;
+                self.prev_addr = m.addr.0;
+                varint::encode(varint::zigzag(delta), &mut self.deltas);
+                let mut t = TAG_MEM;
+                if m.kind.is_store() {
+                    t |= FLAG_STORE;
+                }
+                if m.dep == Dependence::PrevLoad {
+                    t |= FLAG_DEP_PREV_LOAD;
+                }
+                t
+            }
+            TraceEvent::Branch(br) => {
+                self.push_pc(2, br.pc);
+                if br.taken {
+                    TAG_BRANCH | FLAG_TAKEN
+                } else {
+                    TAG_BRANCH
+                }
+            }
+        };
+        self.tags.push(tag);
+    }
+
+    /// Packs the open frame into a [`PackedTrace`] and starts the next one:
+    /// lanes emptied (capacity kept), counts and predictors reset.
+    pub fn finish(&mut self) -> PackedTrace {
+        let counts = [
+            self.tags.len(),
+            self.n_pcs,
+            self.n_mems,
+            self.n_alus,
+            self.n_blocks,
+            self.pcs.len(),
+            self.deltas.len(),
+            self.alus.len(),
+            self.blocks.len(),
+        ];
+        let layout = Layout::from_header(counts);
+        let mut buf = Vec::with_capacity(layout.total);
+        for n in counts {
+            buf.extend_from_slice(&(n as u64).to_le_bytes());
+        }
+        for lane in [
+            &mut self.tags,
+            &mut self.pcs,
+            &mut self.deltas,
+            &mut self.alus,
+            &mut self.blocks,
+        ] {
+            buf.extend_from_slice(lane);
+            lane.clear();
+        }
+        debug_assert_eq!(buf.len(), layout.total);
+        (self.n_pcs, self.n_mems, self.n_alus, self.n_blocks) = (0, 0, 0, 0);
+        self.prev_addr = 0;
+        self.prev_pc = [0; 3];
+        PackedTrace {
+            payload: buf.into_boxed_slice(),
+            layout,
+        }
+    }
+}
+
 /// The columnar trace. See the module docs for the layout.
 ///
 /// ```
@@ -399,112 +548,13 @@ impl PackedTrace {
         PackedTrace::from_events(trace.events())
     }
 
-    /// Packs a run of events in place — the streaming writer's frame
-    /// encoder, which hands over the builder's chunk without copying it
-    /// into a [`Trace`] first.
+    /// Packs a run of events through one [`FrameEncoder`] frame.
     pub fn from_events(events: &[TraceEvent]) -> PackedTrace {
-        let mut n_pcs = 0usize;
-        let mut n_mems = 0usize;
-        let mut n_alus = 0usize;
-        let mut n_blocks = 0usize;
-        let mut tags = Vec::with_capacity(events.len());
-        // Most entries are one byte (small PCs after the first, unit
-        // deltas, short run lengths); reserve optimistically.
-        let mut pcs = Vec::with_capacity(events.len() * 2);
-        let mut deltas = Vec::new();
-        let mut alus = Vec::new();
-        let mut blocks = Vec::new();
-        let mut prev_addr = 0u64;
-        // One PC predictor per variant (ALU / mem / branch): see the
-        // module docs for why per-variant deltas stay short.
-        let mut prev_pc = [0u64; 3];
-        let mut push_pc = |slot: usize, pc: Pc, pcs: &mut Vec<u8>| {
-            let delta = pc.0.wrapping_sub(prev_pc[slot]) as i64;
-            prev_pc[slot] = pc.0;
-            varint::encode(varint::zigzag(delta), pcs);
-        };
-        for e in events {
-            let tag = match e {
-                TraceEvent::BlockBegin { id } => {
-                    n_blocks += 1;
-                    varint::encode(u64::from(id.0), &mut blocks);
-                    TAG_BLOCK_BEGIN
-                }
-                TraceEvent::BlockEnd { id } => {
-                    n_blocks += 1;
-                    varint::encode(u64::from(id.0), &mut blocks);
-                    TAG_BLOCK_END
-                }
-                TraceEvent::Alu { pc, count } => {
-                    n_pcs += 1;
-                    n_alus += 1;
-                    push_pc(0, *pc, &mut pcs);
-                    varint::encode(u64::from(*count), &mut alus);
-                    TAG_ALU
-                }
-                TraceEvent::Mem(m) => {
-                    n_pcs += 1;
-                    n_mems += 1;
-                    push_pc(1, m.pc, &mut pcs);
-                    let delta = m.addr.0.wrapping_sub(prev_addr) as i64;
-                    prev_addr = m.addr.0;
-                    varint::encode(varint::zigzag(delta), &mut deltas);
-                    let mut t = TAG_MEM;
-                    if m.kind.is_store() {
-                        t |= FLAG_STORE;
-                    }
-                    if m.dep == Dependence::PrevLoad {
-                        t |= FLAG_DEP_PREV_LOAD;
-                    }
-                    t
-                }
-                TraceEvent::Branch(br) => {
-                    n_pcs += 1;
-                    push_pc(2, br.pc, &mut pcs);
-                    if br.taken {
-                        TAG_BRANCH | FLAG_TAKEN
-                    } else {
-                        TAG_BRANCH
-                    }
-                }
-            };
-            tags.push(tag);
+        let mut encoder = FrameEncoder::new();
+        for &e in events {
+            encoder.push(e);
         }
-        let layout = Layout::from_header([
-            events.len(),
-            n_pcs,
-            n_mems,
-            n_alus,
-            n_blocks,
-            pcs.len(),
-            deltas.len(),
-            alus.len(),
-            blocks.len(),
-        ]);
-        let mut buf = Vec::with_capacity(layout.total);
-        for n in [
-            events.len(),
-            n_pcs,
-            n_mems,
-            n_alus,
-            n_blocks,
-            pcs.len(),
-            deltas.len(),
-            alus.len(),
-            blocks.len(),
-        ] {
-            buf.extend_from_slice(&(n as u64).to_le_bytes());
-        }
-        buf.extend_from_slice(&tags);
-        buf.extend_from_slice(&pcs);
-        buf.extend_from_slice(&deltas);
-        buf.extend_from_slice(&alus);
-        buf.extend_from_slice(&blocks);
-        debug_assert_eq!(buf.len(), layout.total);
-        PackedTrace {
-            payload: buf.into_boxed_slice(),
-            layout,
-        }
+        encoder.finish()
     }
 
     /// Parses an owned payload buffer, validating the count header, every

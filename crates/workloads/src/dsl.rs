@@ -999,14 +999,13 @@ mod oracle {
     fn record(run: impl FnOnce(&mut TraceBuilder) -> Result<(), DslError>) -> Outcome {
         let events = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
-        let mut tb = TraceBuilder::streaming(
-            1,
-            Box::new(move |chunk| {
-                sink.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend_from_slice(chunk)
-            }),
-        );
+        // One-event frames: every event reaches the sink, decoded, as soon
+        // as it is emitted, so a panicking run still reports its prefix.
+        let mut tb = TraceBuilder::streaming(1, move |frame: cbws_trace::PackedTrace| {
+            sink.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend(frame.cursor())
+        });
         let result = catch_unwind(AssertUnwindSafe(|| run(&mut tb))).ok();
         let events = events.lock().unwrap_or_else(|e| e.into_inner()).clone();
         (events, result)

@@ -518,16 +518,16 @@ mod tests {
     #[test]
     fn streamed_emission_matches_in_memory_generation() {
         use cbws_trace::TraceBuilder;
-        // The streaming writer path (chunked sink) must observe exactly
-        // the event sequence the in-memory path materializes.
+        // The streaming writer path (frames encoded as events arrive) must
+        // decode to exactly the event sequence the in-memory path
+        // materializes.
         for w in ALL.iter().take(4) {
             let whole = w.generate(Scale::Tiny);
             let streamed = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let sink = std::sync::Arc::clone(&streamed);
-            let mut tb = TraceBuilder::streaming(
-                1000,
-                Box::new(move |chunk| sink.lock().unwrap().extend_from_slice(chunk)),
-            );
+            let mut tb = TraceBuilder::streaming(1000, move |frame: cbws_trace::PackedTrace| {
+                sink.lock().unwrap().extend(frame.cursor())
+            });
             w.emit(Scale::Tiny, &mut tb);
             let total = tb.try_finish_stream().unwrap();
             assert_eq!(total as usize, whole.len(), "{}", w.name);

@@ -12,10 +12,13 @@
 //! Framing is what makes trace memory O(1) in trace length end to end:
 //!
 //! * **Writing** streams. [`TraceStore::get`] misses feed the kernel's
-//!   emitter into a [`cbws_trace::TraceBuilder`] in streaming mode; every
-//!   completed chunk of `frame_events` events is packed and flushed to disk
-//!   immediately, so generating a `Scale::Huge` trace never holds more than
-//!   one frame of events in memory.
+//!   emitter into a [`cbws_trace::TraceBuilder`] in streaming mode, which
+//!   encodes each event into the open frame's column lanes
+//!   ([`cbws_trace::FrameEncoder`]) as it is emitted; every `frame_events`
+//!   events the finished frame is written to disk, so generating a
+//!   `Scale::Huge` trace holds about one *packed* frame in memory (its
+//!   lanes plus the finished payload, a few hundred KiB at the default
+//!   frame size), never a frame of unpacked `TraceEvent`s.
 //! * **Replaying** can stream too. Every open returns one kind of handle,
 //!   a [`cbws_trace::FramedTrace`]; only its byte source differs, chosen
 //!   from the file size. [`TraceStore::replay_source`] leaves files larger
@@ -92,7 +95,7 @@
 
 use crate::{Scale, WorkloadSpec};
 use cbws_telemetry::{warn, Spans, Telemetry};
-use cbws_trace::{FrameEntry, FramedTrace, PackedTrace, StreamObserver, TraceBuilder, TraceEvent};
+use cbws_trace::{FrameEntry, FramedTrace, PackedTrace, StreamObserver, TraceBuilder};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -370,8 +373,8 @@ fn read_meta(
     Ok(FileMeta { entries, file_len })
 }
 
-/// Streaming-write state shared with the builder's chunk sink: frames are
-/// packed and written to `out` as they complete, and only their footer
+/// Streaming-write state shared with the builder's frame sink: frames are
+/// written to `out` as the builder finishes them, and only their footer
 /// entries are retained in memory.
 struct FrameSink<W> {
     out: W,
@@ -387,13 +390,12 @@ impl<W: Write> FrameSink<W> {
         Ok(())
     }
 
-    fn push_frame(&mut self, chunk: &[TraceEvent]) {
-        if self.error.is_some() || chunk.is_empty() {
+    fn push_frame(&mut self, frame: PackedTrace) {
+        if self.error.is_some() {
             return;
         }
-        let packed = PackedTrace::from_events(chunk);
-        let entry = FrameEntry::of(&packed, self.offset);
-        match self.write(packed.payload()) {
+        let entry = FrameEntry::of(&frame, self.offset);
+        match self.write(frame.payload()) {
             Ok(()) => self.entries.push(entry),
             Err(e) => self.error = Some(e),
         }
@@ -713,16 +715,13 @@ impl TraceStore {
 
         let gen_span = spans.begin("trace.generate");
         gen_span.attr("workload", workload.name);
-        let chunk_sink = Arc::clone(&sink);
-        let mut tb = TraceBuilder::streaming(
-            self.frame_events,
-            Box::new(move |chunk| {
-                chunk_sink
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_frame(chunk);
-            }),
-        );
+        let frame_sink = Arc::clone(&sink);
+        let mut tb = TraceBuilder::streaming(self.frame_events, move |frame| {
+            frame_sink
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push_frame(frame);
+        });
         workload.emit(scale, &mut tb);
         let total = tb.try_finish_stream().map_err(|e| {
             std::io::Error::new(
