@@ -435,7 +435,7 @@ fn result_store(root: &Path) -> Result<String, String> {
          changed serves every job from disk and skips both trace loading \
          and simulation. An interrupted sweep resumes with `--resume`, \
          simulating only the jobs the killed run never finished.\n\n\
-         ## Keying and the file format (version 1)\n\n\
+         ## Keying and the file format (version 2)\n\n\
          One little-endian file per `(workload, scale, prefetcher, \
          config)`, named \
          `<workload>-<scale>-<prefetcher>-<config hash>.cbwsresult` under \
@@ -454,13 +454,22 @@ fn result_store(root: &Path) -> Result<String, String> {
          separately) |\n\
          | simulator version hash | any simulation source file changes |\n\
          | scale | the trace length changes |\n\n\
-         The payload is the JSON-serialized `RunRecord` guarded by an \
-         FNV-1a checksum. A mismatch on any field — including a single \
-         flipped bit anywhere in the file — rejects the entry with a \
-         `warn!`, removes it, and re-simulates; property tests in \
-         `result_store_properties.rs` exercise exactly this. Writes are \
-         atomic (temp file + rename), so a killed run never leaves a torn \
-         entry.\n\n\
+         The payload is the `RunRecord` in a fixed little-endian layout, \
+         guarded by an FNV-1a checksum: the `memory_intensive` byte, \
+         `CpuStats`' 6 and `MemStats`' 17 counters as `u64` in declaration \
+         order, then the workload and prefetcher names, each after a `u16` \
+         length. An entry is about 240 bytes (version 1 stored the record \
+         as JSON, about 580). The reader checks the exact payload length \
+         and compares both names with the key before it allocates \
+         anything, so a hit makes 5 heap allocations where the JSON parse \
+         made 50. A mismatch on any field — a single flipped bit anywhere \
+         in the file, a truncation, a length that lies, or names that \
+         disagree with the key — rejects the entry with a `warn!`, removes \
+         it, and re-simulates; property tests in \
+         `result_store_properties.rs` exercise exactly this. An entry of \
+         another format version reads the same way, so a version-1 store \
+         is re-simulated once. Writes are atomic (temp file + rename), so \
+         a killed run never leaves a torn entry.\n\n\
          ## Byte budget\n\n\
          `CBWS_RESULT_CACHE_BYTES` bounds the store on disk (default \
          64 MiB). When a write pushes past the budget, oldest-modified \

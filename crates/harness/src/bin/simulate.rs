@@ -20,8 +20,10 @@
 //! aggregates over every simulated prefetcher of the invocation (the
 //! `run.*` gauges reflect the last run); pass `--prefetcher` to capture a
 //! single configuration. A run manifest is written to
-//! `results/simulate.manifest.json`. The retired `--trace-out` event trace
-//! is rejected with exit status 2.
+//! `results/simulate.manifest.json`. Any argument outside the flags above
+//! (plus `--verbose`, an alias of `--progress`) prints the usage and exits
+//! with status 2; the retired `--trace-out` event trace says what replaced
+//! it.
 //!
 //! Registered workloads run through the work-stealing engine (`--jobs N`
 //! workers, default all cores) unless `--metrics-out` asks for shared
@@ -46,27 +48,61 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Every accepted flag, with the value it takes (`None` for a flag that
+/// stands alone). The usage line is printed from this table.
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--workload", Some("<name>")),
+    ("--trace", Some("<file.json>")),
+    ("--scale", Some("tiny|small|full|huge")),
+    ("--jobs", Some("<n>")),
+    ("--prefetcher", Some("<name>")),
+    ("--dram", None),
+    ("--export", Some("<file.json>")),
+    ("--metrics-out", Some("<file.json>")),
+    ("--spans-out", Some("<file.json>")),
+    ("--resume", None),
+    ("--no-result-cache", None),
+    ("--quiet", None),
+    ("--progress", None),
+    ("--verbose", None),
+];
+
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: simulate [--workload <name> | --trace <file.json>] \
-         [--scale tiny|small|full|huge] [--prefetcher <name>] [--dram] \
-         [--export <file.json>] [--metrics-out <file.json>] \
-         [--spans-out <file.json>] \
-         [--quiet | --progress]"
-    );
+    let usage: String = FLAGS
+        .iter()
+        .map(|(flag, value)| match value {
+            Some(value) => format!(" [{flag} {value}]"),
+            None => format!(" [{flag}]"),
+        })
+        .collect();
+    eprintln!("usage: simulate{usage}");
     std::process::exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
+/// Rejects any argument that is not an accepted flag or a value-taking
+/// flag's value, and a value-taking flag with nothing after it.
+fn check_args(args: &[String]) {
     if args.iter().any(|a| a == "--trace-out") {
         fail(
             "--trace-out was removed: every event it traced is a counter now; \
              use --metrics-out <file.json>",
         );
     }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, Some(_))) if rest.next().is_none() => fail(&format!("{arg} needs a value")),
+            Some(_) => {}
+            None => fail(&format!("unknown argument `{arg}`")),
+        }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args);
+    cbws_telemetry::log::apply_cli_flags(&args);
 
     let scale = scale_from_args();
     let mut spec: Option<&'static WorkloadSpec> = None;

@@ -30,16 +30,37 @@
 //! entry is then invalidated and regenerated on next access. Entries are
 //! **content-addressed** by that key, not trusted by mtime or file name.
 //!
-//! # File format (version 1, little-endian)
+//! # File format (version 2, little-endian)
 //!
 //! | field | size | contents |
 //! |---|---|---|
 //! | magic | 8 | `b"CBWSRSLT"` |
-//! | format version | 4 | `u32`, currently 1 |
+//! | format version | 4 | `u32`, currently 2 |
 //! | key hash | 8 | FNV-1a key described above |
 //! | payload checksum | 8 | FNV-1a of the payload bytes |
 //! | payload length | 8 | `u64` |
-//! | payload | var | the [`RunRecord`] as JSON |
+//! | payload | var | the [`RunRecord`], laid out below |
+//!
+//! The payload has a fixed layout, with every integer little-endian:
+//!
+//! | field | size | contents |
+//! |---|---|---|
+//! | `memory_intensive` | 1 | 0 or 1 |
+//! | `cpu` | 6 × 8 | `CpuStats`' counters as `u64`, in declaration order |
+//! | `mem` | 17 × 8 | `MemStats`' counters as `u64`, in declaration order |
+//! | `workload` | 2 + n | `u16` byte length, then the UTF-8 name |
+//! | `prefetcher` | 2 + n | `u16` byte length, then the UTF-8 name |
+//!
+//! An entry is ≈ 240 bytes (a version-1 entry held the record as JSON,
+//! ≈ 580 bytes); the byte budget and the sweep server's per-client quotas
+//! count the bytes actually written. The reader knows from the key how long
+//! a valid payload is and which names it holds, so it checks the exact
+//! length and compares both names with the key before it allocates
+//! anything, and it rejects any other bytes with an error, never a panic.
+//! The encoder and decoder destructure `RunRecord`, `CpuStats` and
+//! `MemStats` without `..`: a field added to any of them fails to compile
+//! until this layout and [`FORMAT_VERSION`] change with it. An entry of
+//! another format version reads as version skew and is re-simulated once.
 //!
 //! One file per `(workload, scale, prefetcher, config hash)` under
 //! `CBWS_RESULT_STORE_DIR` (default: `target/result-store/` of the
@@ -66,6 +87,8 @@
 //! `result.load` / `result.write` spans when a collector is attached.
 
 use crate::runner::{PrefetcherKind, SystemConfig};
+use cbws_sim_cpu::CpuStats;
+use cbws_sim_mem::MemStats;
 use cbws_stats::RunRecord;
 use cbws_telemetry::{warn, Spans, Telemetry};
 use cbws_workloads::trace_store::{fnv1a, workload_hash};
@@ -81,7 +104,7 @@ use std::time::Instant;
 pub const MAGIC: &[u8; 8] = b"CBWSRSLT";
 
 /// Current file-format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Environment variable selecting the store directory.
 pub const DIR_ENV: &str = "CBWS_RESULT_STORE_DIR";
@@ -90,7 +113,7 @@ pub const DIR_ENV: &str = "CBWS_RESULT_STORE_DIR";
 pub const BUDGET_ENV: &str = "CBWS_RESULT_CACHE_BYTES";
 
 /// Default byte budget when [`BUDGET_ENV`] is unset: far above a full
-/// sweep's footprint (a record is ~1 KB, the full matrix is ~210 entries
+/// sweep's footprint (an entry is ≈ 240 B, the full matrix is 210 entries
 /// per scale), so eviction only engages when someone sweeps many configs.
 pub const DEFAULT_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
@@ -294,28 +317,184 @@ impl ResultKey {
         fnv_fold_bytes(h, &(sim_version_hash() ^ salt).to_le_bytes())
     }
 
-    /// Filesystem-safe file stem (`"CBWS+SMS"` → `cbws-sms`), suffixed
-    /// with the config hash so entries for different [`SystemConfig`]s of
-    /// the same `(workload, scale, prefetcher)` triple live in different
-    /// files and can coexist under one store directory.
-    fn file_stem(&self) -> String {
-        let slug: String = self
-            .kind
-            .name()
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect();
-        format!(
-            "{}-{}-{}-{:016x}",
-            self.workload, self.scale, slug, self.config_hash
-        )
+    /// The entry's file name, `<workload>-<scale>-<kind slug>-<config
+    /// hash>.cbwsresult`, with the kind made filesystem-safe
+    /// (`"CBWS+SMS"` → `cbws-sms`). The config hash lets entries for
+    /// different [`SystemConfig`]s of the same `(workload, scale,
+    /// prefetcher)` triple live in different files under one store
+    /// directory. Every store access names its file, so the name is built
+    /// in one pre-sized `String`.
+    fn file_name(&self) -> String {
+        use std::fmt::Write as _;
+        let kind = self.kind.name();
+        // The longest scale name is 5 bytes, the hash 16 hex digits, and
+        // three dashes and a dot separate the parts.
+        let mut name =
+            String::with_capacity(self.workload.len() + 5 + kind.len() + 16 + 4 + EXT.len());
+        let _ = write!(name, "{}-{}-", self.workload, self.scale);
+        name.extend(kind.chars().map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        }));
+        let _ = write!(name, "-{:016x}.{EXT}", self.config_hash);
+        name
     }
+}
+
+/// Bytes before the payload: magic, format version, key hash, payload
+/// checksum and payload length.
+const HEADER_LEN: usize = 36;
+
+/// Counters in a payload: `CpuStats`' 6, then `MemStats`' 17.
+const COUNTERS: usize = 23;
+
+/// The fixed part of a payload: the `memory_intensive` byte and the
+/// counters.
+const FIXED_LEN: usize = 1 + 8 * COUNTERS;
+
+/// The exact payload length of the record for `workload` under
+/// `prefetcher`.
+fn payload_len(workload: &str, prefetcher: &str) -> usize {
+    FIXED_LEN + 2 + workload.len() + 2 + prefetcher.len()
+}
+
+/// A record's counters in layout order. Destructured without `..`, so a
+/// field added to either struct fails to compile here until the layout
+/// changes with it.
+fn counters(cpu: &CpuStats, mem: &MemStats) -> [u64; COUNTERS] {
+    let CpuStats {
+        cycles,
+        instructions,
+        mem_accesses,
+        branches,
+        mispredictions,
+        block_cycles,
+    } = *cpu;
+    let MemStats {
+        l1_accesses,
+        l1_hits,
+        l2_demand_accesses,
+        plain_hits,
+        timely,
+        shorter_waiting_time,
+        non_timely,
+        missing,
+        wrong,
+        prefetch_enqueued,
+        prefetch_dedup_dropped,
+        prefetch_overflow_dropped,
+        prefetch_issued,
+        prefetch_fills,
+        demand_fills,
+        writebacks,
+        pollution_evictions,
+    } = *mem;
+    [
+        cycles,
+        instructions,
+        mem_accesses,
+        branches,
+        mispredictions,
+        block_cycles,
+        l1_accesses,
+        l1_hits,
+        l2_demand_accesses,
+        plain_hits,
+        timely,
+        shorter_waiting_time,
+        non_timely,
+        missing,
+        wrong,
+        prefetch_enqueued,
+        prefetch_dedup_dropped,
+        prefetch_overflow_dropped,
+        prefetch_issued,
+        prefetch_fills,
+        demand_fills,
+        writebacks,
+        pollution_evictions,
+    ]
+}
+
+/// The inverse of [`counters`]. The struct literals name every field, so
+/// a new one fails to compile here too; fields take the words in the
+/// order they are written.
+fn stats_from(words: [u64; COUNTERS]) -> (CpuStats, MemStats) {
+    let mut words = words.into_iter();
+    let mut next = || words.next().unwrap_or_default();
+    let cpu = CpuStats {
+        cycles: next(),
+        instructions: next(),
+        mem_accesses: next(),
+        branches: next(),
+        mispredictions: next(),
+        block_cycles: next(),
+    };
+    let mem = MemStats {
+        l1_accesses: next(),
+        l1_hits: next(),
+        l2_demand_accesses: next(),
+        plain_hits: next(),
+        timely: next(),
+        shorter_waiting_time: next(),
+        non_timely: next(),
+        missing: next(),
+        wrong: next(),
+        prefetch_enqueued: next(),
+        prefetch_dedup_dropped: next(),
+        prefetch_overflow_dropped: next(),
+        prefetch_issued: next(),
+        prefetch_fills: next(),
+        demand_fills: next(),
+        writebacks: next(),
+        pollution_evictions: next(),
+    };
+    (cpu, mem)
+}
+
+/// Decodes the payload of the entry for `workload` under `prefetcher`.
+/// The length must be exactly that record's and both stored names must
+/// equal the key's before anything is allocated; any other bytes are an
+/// error, never a panic.
+fn decode_record(
+    payload: &[u8],
+    workload: &str,
+    prefetcher: &str,
+) -> Result<RunRecord, &'static str> {
+    if payload.len() != payload_len(workload, prefetcher) {
+        return Err("payload length does not fit this key's record");
+    }
+    let (fixed, mut names) = payload.split_at(FIXED_LEN);
+    for want in [workload, prefetcher] {
+        let (len, rest) = names.split_first_chunk::<2>().ok_or("truncated name")?;
+        let (name, rest) = rest
+            .split_at_checked(usize::from(u16::from_le_bytes(*len)))
+            .ok_or("name length runs past the payload")?;
+        if name != want.as_bytes() {
+            return Err("stored names do not match the key");
+        }
+        names = rest;
+    }
+    let memory_intensive = match fixed[0] {
+        0 => false,
+        1 => true,
+        _ => return Err("memory_intensive byte is neither 0 nor 1"),
+    };
+    let mut words = [0u64; COUNTERS];
+    for (word, bytes) in words.iter_mut().zip(fixed[1..].chunks_exact(8)) {
+        *word = u64::from_le_bytes(bytes.try_into().expect("chunks of 8 bytes"));
+    }
+    let (cpu, mem) = stats_from(words);
+    Ok(RunRecord {
+        workload: workload.to_owned(),
+        memory_intensive,
+        prefetcher: prefetcher.to_owned(),
+        cpu,
+        mem,
+    })
 }
 
 /// Writes `bytes` to `path` via a uniquely named temporary file + rename
@@ -362,13 +541,17 @@ fn invalid<T>(reason: impl Into<String>) -> Result<T, LoadError> {
 /// Returns the open handle too, so a hit can bump the entry's mtime
 /// without opening the file a second time.
 fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord, File), LoadError> {
-    let mut file = match File::open(path) {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
         Err(e) => return invalid(format!("unreadable: {e}")),
     };
-    let mut bytes = Vec::new();
-    if let Err(e) = file.read_to_end(&mut bytes) {
+    // A valid entry for this key has exactly one length. Reading one byte
+    // past it tells an overlong file apart and bounds what any file can
+    // make the reader allocate.
+    let want_len = HEADER_LEN + payload_len(key.workload, key.kind.name());
+    let mut bytes = Vec::with_capacity(want_len + 1);
+    if let Err(e) = (&file).take(want_len as u64 + 1).read_to_end(&mut bytes) {
         return invalid(format!("unreadable: {e}"));
     }
     let mut at = 0usize;
@@ -401,43 +584,62 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord,
     }
     let checksum = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
     let payload_len = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
-    let payload = match usize::try_from(payload_len) {
-        Ok(n) if at + n == bytes.len() => &bytes[at..],
-        _ => return invalid("payload length disagrees with file size"),
-    };
+    let payload = &bytes[at..];
+    if u64::try_from(payload.len()) != Ok(payload_len) {
+        return invalid(format!(
+            "payload length {payload_len} disagrees with the {} bytes after the header",
+            payload.len()
+        ));
+    }
     let got = fnv1a(payload);
     if got != checksum {
         return invalid(format!(
             "payload checksum {got:#018x} != stored {checksum:#018x}"
         ));
     }
-    let json = match std::str::from_utf8(payload) {
-        Ok(s) => s,
-        Err(e) => return invalid(format!("payload is not UTF-8: {e}")),
-    };
-    let record: RunRecord = match serde_json::from_str(json) {
-        Ok(r) => r,
-        Err(e) => return invalid(format!("payload rejected: {e}")),
-    };
-    if record.workload != key.workload || record.prefetcher != key.kind.name() {
-        return invalid("stored record does not match its key");
+    match decode_record(payload, key.workload, key.kind.name()) {
+        Ok(record) => Ok((record, file)),
+        Err(reason) => invalid(reason),
     }
-    Ok((record, file))
 }
 
-/// Serializes a record into the version-1 file bytes for `key_hash`.
-fn encode_file(key_hash: u64, record: &RunRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record)
-        .expect("RunRecord serialization is infallible")
-        .into_bytes();
-    let mut out = Vec::with_capacity(36 + payload.len());
+/// Serializes a record into the version-2 file bytes for `key_hash`. A
+/// name longer than its `u16` length field can say is an error.
+fn encode_file(key_hash: u64, record: &RunRecord) -> std::io::Result<Vec<u8>> {
+    let RunRecord {
+        workload,
+        memory_intensive,
+        prefetcher,
+        cpu,
+        mem,
+    } = record;
+    let len = payload_len(workload, prefetcher);
+    let mut out = Vec::with_capacity(HEADER_LEN + len);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&key_hash.to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    out.extend_from_slice(&[0; 8]); // checksum, filled in below
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out.push(u8::from(*memory_intensive));
+    for word in counters(cpu, mem) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    for name in [workload, prefetcher] {
+        let name_len = u16::try_from(name.len()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "name of {} bytes does not fit the record layout",
+                    name.len()
+                ),
+            )
+        })?;
+        out.extend_from_slice(&name_len.to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+    }
+    let checksum = fnv1a(&out[HEADER_LEN..]);
+    out[20..28].copy_from_slice(&checksum.to_le_bytes());
+    Ok(out)
 }
 
 /// A persistent, content-addressed store of simulation results. See the
@@ -546,9 +748,14 @@ impl ResultStore {
         self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// The file an entry for `key` lives in.
+    /// The file an entry for `key` lives in. Sized up front: `join` would
+    /// copy the directory and then grow the copy.
     pub fn path_for(&self, key: &ResultKey) -> PathBuf {
-        self.dir.join(format!("{}.{EXT}", key.file_stem()))
+        let name = key.file_name();
+        let mut path = PathBuf::with_capacity(self.dir.as_os_str().len() + 1 + name.len());
+        path.push(&self.dir);
+        path.push(name);
+        path
     }
 
     /// The stored record for `key`, fully verified, or `None` on a miss.
@@ -606,15 +813,18 @@ impl ResultStore {
         let started = Instant::now();
         let write_span = spans.begin("result.write");
         write_span.attr("workload", key.workload);
-        let bytes = encode_file(key.hash(self.hash_salt), record);
         // Stat before the atomic rename: an overwrite replaces the old
         // entry, so the running total changes by (new - old), not new.
         let old_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        match write_atomic(&path, &bytes) {
-            Ok(()) => {
-                self.note_disk_change(old_len, bytes.len() as u64);
+        let written = encode_file(key.hash(self.hash_salt), record).and_then(|bytes| {
+            write_atomic(&path, &bytes)?;
+            Ok(bytes.len() as u64)
+        });
+        match written {
+            Ok(len) => {
+                self.note_disk_change(old_len, len);
                 telemetry.count("result_store.write", 1);
-                telemetry.count("result_store.write_bytes", bytes.len() as u64);
+                telemetry.count("result_store.write_bytes", len);
                 telemetry.count(
                     "result_store.store_us",
                     started.elapsed().as_micros() as u64,
@@ -887,7 +1097,7 @@ mod tests {
             .iter()
             .map(|&k| ResultKey::new(w, Scale::Tiny, k, &SystemConfig::default()))
             .collect();
-        let entry_len = encode_file(keys[0].hash(0), &records[0]).len() as u64;
+        let entry_len = encode_file(keys[0].hash(0), &records[0]).unwrap().len() as u64;
 
         // Budget for roughly two entries.
         let telemetry = Telemetry::enabled_default();
@@ -941,7 +1151,7 @@ mod tests {
             .iter()
             .map(|&k| ResultKey::new(w, Scale::Tiny, k, &SystemConfig::default()))
             .collect();
-        let entry_len = encode_file(keys[0].hash(0), &records[0]).len() as u64;
+        let entry_len = encode_file(keys[0].hash(0), &records[0]).unwrap().len() as u64;
         let telemetry = Telemetry::enabled_default();
         let store = ResultStore::with_budget(&dir, Some(entry_len * 5 / 2));
         store.set_telemetry(telemetry.clone());
@@ -1030,7 +1240,7 @@ mod tests {
             .iter()
             .map(|&k| ResultKey::new(w, Scale::Tiny, k, &SystemConfig::default()))
             .collect();
-        let entry_len = encode_file(keys[0].hash(0), &records[0]).len() as u64;
+        let entry_len = encode_file(keys[0].hash(0), &records[0]).unwrap().len() as u64;
         let store = ResultStore::with_budget(&dir, Some(entry_len * 5 / 2));
         let cached = |s: &ResultStore| s.cached_bytes.lock().unwrap().expect("initialized");
         for (key, record) in keys.iter().zip(&records) {
@@ -1097,6 +1307,95 @@ mod tests {
         assert_eq!(count("result.load"), 2);
         assert_eq!(count("result.write"), 1);
         assert!(records.iter().all(|r| r.dur_us.is_some()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// File names are the version-1 store's, byte for byte, for every
+    /// workload, kind and scale: a store directory keeps its layout.
+    #[test]
+    fn file_names_are_unchanged() {
+        let store = ResultStore::at("store");
+        let system = SystemConfig::default();
+        let kinds = PrefetcherKind::ALL
+            .into_iter()
+            .chain(PrefetcherKind::EXTENDED);
+        let mut names = 0;
+        for kind in kinds {
+            let config = config_hash(kind, &system);
+            for w in cbws_workloads::ALL {
+                for scale in [Scale::Tiny, Scale::Small, Scale::Full, Scale::Huge] {
+                    let key = ResultKey::with_config_hash(w, scale, kind, config);
+                    let slug: String = kind
+                        .name()
+                        .chars()
+                        .map(|c| {
+                            if c.is_ascii_alphanumeric() {
+                                c.to_ascii_lowercase()
+                            } else {
+                                '-'
+                            }
+                        })
+                        .collect();
+                    let old = format!("{}-{}-{}-{:016x}.cbwsresult", w.name, scale, slug, config);
+                    assert_eq!(store.path_for(&key), Path::new("store").join(old));
+                    names += 1;
+                }
+            }
+        }
+        assert_eq!(names, 30 * 12 * 4);
+    }
+
+    /// An entry in the version-1 layout (the record as JSON) reads as
+    /// version skew: the engine discards it, re-simulates, and rewrites it
+    /// in the current layout.
+    #[test]
+    fn version_1_entry_is_resimulated_and_rewritten() {
+        use crate::engine::{Engine, EngineConfig, ResultCache};
+        use std::sync::Arc;
+
+        let dir = scratch_dir("v1");
+        let w = by_name("nw").unwrap();
+        let kind = PrefetcherKind::Sms;
+        let key = ResultKey::new(w, Scale::Tiny, kind, &SystemConfig::default());
+        let fresh = simulate(w, kind);
+        let json = serde_json::to_string(&fresh).unwrap().into_bytes();
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&key.hash(0).to_le_bytes());
+        v1.extend_from_slice(&fnv1a(&json).to_le_bytes());
+        v1.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&json);
+        let store = Arc::new(ResultStore::at(&dir));
+        let path = store.path_for(&key);
+        write_atomic(&path, &v1).unwrap();
+
+        match load_file(&path, key.hash(0), &key) {
+            Err(LoadError::Invalid(reason)) => {
+                assert!(reason.starts_with("format version 1,"), "{reason}")
+            }
+            Err(LoadError::Missing) => panic!("the version-1 entry was not found"),
+            Ok(_) => panic!("a version-1 entry was served"),
+        }
+
+        // The engine routes the store's counters to its own sink.
+        let telemetry = Telemetry::enabled_default();
+        let run = Engine::new(EngineConfig {
+            jobs: 1,
+            telemetry: telemetry.clone(),
+            result_cache: ResultCache::At(store.clone()),
+            ..EngineConfig::default()
+        })
+        .run(Scale::Tiny, &[w], &[kind]);
+        assert_eq!(run.records, vec![fresh.clone()]);
+        assert_eq!(run.store_misses(), 1);
+        assert_eq!(counter(&telemetry, "result_store.invalidate"), 1);
+        assert_eq!(counter(&telemetry, "result_store.write"), 1);
+
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[8..12], FORMAT_VERSION.to_le_bytes());
+        assert!(rewritten.len() < v1.len() / 2, "{} bytes", rewritten.len());
+        assert_eq!(store.get(&key), Some(fresh));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
