@@ -16,7 +16,8 @@
 //! also cross-validates the two trace representations end to end.
 //!
 //! Four competitors are timed: the serial sweep (AoS traces, cold trace
-//! cache each run), the engine with a **cold** trace store (pays DSL
+//! cache each run, timed in alternating pairs with the warm engine), the
+//! engine with a **cold** trace store (pays DSL
 //! generation plus encode/write), the engine with a **warm** store
 //! (checksum-verified loads only — the steady state of repeated sweeps and
 //! CI runs), and the engine with a **cached** result store (every job
@@ -81,17 +82,6 @@ fn main() {
         workloads.len()
     );
 
-    // Serial competitor (best of `iters`, cold trace cache each time).
-    let mut serial_secs = f64::INFINITY;
-    let mut serial_records = Vec::new();
-    for _ in 0..iters {
-        trace_cache::shared().clear();
-        let t = Instant::now();
-        serial_records = sweep(scale, &workloads);
-        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-    }
-    eprintln!("[sweep_e2e] serial: {serial_secs:.3} s");
-
     // Engine competitor, cold store: every run regenerates, packs, and
     // writes each trace (comparable to pre-store engine runs).
     let store = trace_store::shared();
@@ -108,13 +98,24 @@ fn main() {
     }
     eprintln!("[sweep_e2e] engine (cold store): {engine_secs:.3} s on {workers} workers");
 
-    // Engine competitor, warm store: files persist across runs, only the
+    // The serial competitor (cold trace cache each time) against the
+    // engine over a warm store: files persist across runs, only the
     // in-process memoization is dropped, so each run pays verified loads
-    // instead of generation — the steady state of repeated sweeps.
+    // instead of generation — the steady state of repeated sweeps. The two
+    // legs run in alternating pairs, each keeping its best of `iters`, so
+    // a drift in host speed lands on both sides of `warm_speedup` instead
+    // of on one.
+    let mut serial_secs = f64::INFINITY;
+    let mut serial_records = Vec::new();
     let mut warm_secs = f64::INFINITY;
     let mut warm_records = Vec::new();
     let mut warm_workers = Vec::new();
     for _ in 0..iters {
+        trace_cache::shared().clear();
+        let t = Instant::now();
+        serial_records = sweep(scale, &workloads);
+        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
+
         store.drop_memory();
         let run = sweep_engine_with(scale, &workloads, jobs, ResultCache::Off);
         if run.wall_seconds < warm_secs {
@@ -123,6 +124,7 @@ fn main() {
         }
         warm_records = run.records;
     }
+    eprintln!("[sweep_e2e] serial: {serial_secs:.3} s");
     eprintln!("[sweep_e2e] engine (warm store): {warm_secs:.3} s on {workers} workers");
 
     // Engine competitor, cached result store: one populate run persists

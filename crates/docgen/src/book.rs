@@ -287,7 +287,8 @@ fn reproducing() -> String {
          [component reference](registry/index.md).\n\n\
          ## Scales and runtimes\n\n\
          The committed artifacts were produced at the scale their manifest \
-         records (full for the headline run; `fig12_mpki` at small). Tiny \
+         records (full for every figure; `dram_model`, `ext_comparison` and \
+         `simulate` at small). Tiny \
          runs complete in seconds and are used by the test suite; full \
          reproduces the numbers quoted in [the scorecard](scorecard.md).\n",
         pages::GENERATED_BANNER

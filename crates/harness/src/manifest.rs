@@ -9,6 +9,7 @@
 
 use crate::engine::{detect_parallelism, EngineRun, WorkerStats};
 use crate::runner::{PrefetcherKind, SystemConfig};
+use cbws_workloads::trace_store::store_file;
 use cbws_workloads::Scale;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -100,7 +101,7 @@ impl RunManifest {
     ) -> Self {
         RunManifest {
             binary: binary.to_string(),
-            scale: scale_name(scale).to_string(),
+            scale: scale.to_string(),
             workloads: workloads.into_iter().map(Into::into).collect(),
             prefetchers: prefetchers
                 .into_iter()
@@ -144,19 +145,9 @@ impl RunManifest {
     pub fn save(&self, name: &str) {
         let path = Path::new("results").join(format!("{name}.manifest.json"));
         let bytes = self.to_json() + "\n";
-        if let Err(e) = crate::result_store::write_atomic(&path, bytes.as_bytes()) {
+        if let Err(e) = store_file::write_atomic(&path, bytes.as_bytes()) {
             cbws_telemetry::warn!("cannot write {}: {e}", path.display());
         }
-    }
-}
-
-/// Lowercase display form of a scale.
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-        Scale::Huge => "huge",
     }
 }
 

@@ -66,10 +66,14 @@
 //! `CBWS_RESULT_STORE_DIR` (default: `target/result-store/` of the
 //! workspace) — the config hash in the name lets sensitivity sweeps that
 //! revisit one `(workload, scale, prefetcher)` triple under many
-//! configurations coexist instead of overwriting each other. Files are
+//! configurations coexist instead of overwriting each other.
+//!
+//! Writing, the magic / version / key-hash prefix and the corrupt-equals-miss
+//! rule are the [`store_file`] protocol the trace store shares: an entry is
 //! written atomically (unique temporary file + rename), so a sweep killed
 //! mid-write can never leave a torn entry — the property `--resume` relies
-//! on.
+//! on — and an entry that fails any check is counted, removed and
+//! re-simulated.
 //!
 //! # Byte budget and eviction
 //!
@@ -91,12 +95,15 @@ use cbws_sim_cpu::CpuStats;
 use cbws_sim_mem::MemStats;
 use cbws_stats::RunRecord;
 use cbws_telemetry::{warn, Spans, Telemetry};
+use cbws_workloads::trace_store::store_file::{
+    self, fnv1a_fold, fnv1a_fold_named, invalid, scale_code, write_atomic, LoadError, Sinks,
+    FNV_BASIS, PREFIX_LEN,
+};
 use cbws_workloads::trace_store::{fnv1a, workload_hash};
 use cbws_workloads::{Scale, WorkloadSpec};
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -119,15 +126,6 @@ pub const DEFAULT_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
 /// File extension of store entries.
 const EXT: &str = "cbwsresult";
-
-/// Folds `bytes` into an FNV-1a state.
-fn fnv_fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Every source file whose edit can change a simulation result given the
 /// same packed trace: the replay path (`cbws-trace`), the simulated core
@@ -230,13 +228,9 @@ const SIM_SOURCES: &[(&str, &str)] = &[
 pub fn sim_version_hash() -> u64 {
     static HASH: OnceLock<u64> = OnceLock::new();
     *HASH.get_or_init(|| {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (name, body) in SIM_SOURCES {
-            h = fnv_fold_bytes(h, name.as_bytes());
-            h = fnv_fold_bytes(h, &[0u8]);
-            h = fnv_fold_bytes(h, body.as_bytes());
-        }
-        h
+        SIM_SOURCES
+            .iter()
+            .fold(FNV_BASIS, |h, (name, body)| fnv1a_fold_named(h, name, body))
     })
 }
 
@@ -246,18 +240,7 @@ pub fn sim_version_hash() -> u64 {
 /// apart from the default configuration's.
 pub fn config_hash(kind: PrefetcherKind, system: &SystemConfig) -> u64 {
     let json = serde_json::to_string(system).expect("SystemConfig serialization is infallible");
-    let mut h = fnv1a(kind.name().as_bytes());
-    h = fnv_fold_bytes(h, &[0u8]);
-    fnv_fold_bytes(h, json.as_bytes())
-}
-
-fn scale_code(scale: Scale) -> u8 {
-    match scale {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-        Scale::Huge => 3,
-    }
+    fnv1a_fold_named(FNV_BASIS, kind.name(), &json)
 }
 
 /// The complete content address of one simulation result.
@@ -309,12 +292,12 @@ impl ResultKey {
     /// always 0 outside tests.
     fn hash(&self, salt: u64) -> u64 {
         let mut h = self.trace_hash;
-        h = fnv_fold_bytes(h, &[scale_code(self.scale)]);
-        h = fnv_fold_bytes(h, self.workload.as_bytes());
-        h = fnv_fold_bytes(h, &[0u8]);
-        h = fnv_fold_bytes(h, self.kind.name().as_bytes());
-        h = fnv_fold_bytes(h, &self.config_hash.to_le_bytes());
-        fnv_fold_bytes(h, &(sim_version_hash() ^ salt).to_le_bytes())
+        h = fnv1a_fold(h, &[scale_code(self.scale)]);
+        h = fnv1a_fold(h, self.workload.as_bytes());
+        h = fnv1a_fold(h, &[0u8]);
+        h = fnv1a_fold(h, self.kind.name().as_bytes());
+        h = fnv1a_fold(h, &self.config_hash.to_le_bytes());
+        fnv1a_fold(h, &(sim_version_hash() ^ salt).to_le_bytes())
     }
 
     /// The entry's file name, `<workload>-<scale>-<kind slug>-<config
@@ -346,7 +329,7 @@ impl ResultKey {
 
 /// Bytes before the payload: magic, format version, key hash, payload
 /// checksum and payload length.
-const HEADER_LEN: usize = 36;
+const HEADER_LEN: usize = PREFIX_LEN + 16;
 
 /// Counters in a payload: `CpuStats`' 6, then `MemStats`' 17.
 const COUNTERS: usize = 23;
@@ -497,55 +480,11 @@ fn decode_record(
     })
 }
 
-/// Writes `bytes` to `path` via a uniquely named temporary file + rename
-/// (creating the parent directory first), so readers never observe a
-/// half-written file — even when several workers or processes write the
-/// same path concurrently.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Why a stored entry could not be served.
-enum LoadError {
-    /// No file yet — a plain miss.
-    Missing,
-    /// The file exists but is invalid for this key and binary (corruption,
-    /// version skew, key-hash skew — simulator sources, config, or trace
-    /// sources changed). The reason is human-readable.
-    Invalid(String),
-}
-
-fn invalid<T>(reason: impl Into<String>) -> Result<T, LoadError> {
-    Err(LoadError::Invalid(reason.into()))
-}
-
 /// Parses and fully verifies a store file into the record it holds.
 /// Returns the open handle too, so a hit can bump the entry's mtime
 /// without opening the file a second time.
 fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord, File), LoadError> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
-        Err(e) => return invalid(format!("unreadable: {e}")),
-    };
+    let file = store_file::open(path)?;
     // A valid entry for this key has exactly one length. Reading one byte
     // past it tells an overlong file apart and bounds what any file can
     // make the reader allocate.
@@ -554,37 +493,12 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord,
     if let Err(e) = (&file).take(want_len as u64 + 1).read_to_end(&mut bytes) {
         return invalid(format!("unreadable: {e}"));
     }
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Result<&[u8], LoadError> {
-        let end = at.checked_add(n).filter(|&e| e <= bytes.len());
-        match end {
-            Some(end) => {
-                let s = &bytes[*at..end];
-                *at = end;
-                Ok(s)
-            }
-            None => invalid(format!("truncated header at byte {at}")),
-        }
+    store_file::check_prefix(&bytes, MAGIC, FORMAT_VERSION, want_hash)?;
+    let Some((header, payload)) = bytes.split_at_checked(HEADER_LEN) else {
+        return invalid("truncated header");
     };
-    if take(&mut at, MAGIC.len())? != MAGIC {
-        return invalid("bad magic");
-    }
-    let version = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return invalid(format!(
-            "format version {version}, this binary writes {FORMAT_VERSION}"
-        ));
-    }
-    let file_hash = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
-    if file_hash != want_hash {
-        return invalid(format!(
-            "key hash {file_hash:#018x} does not match this binary's {want_hash:#018x} \
-             (trace sources, simulator sources, or the config changed)"
-        ));
-    }
-    let checksum = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
-    let payload_len = u64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap());
-    let payload = &bytes[at..];
+    let checksum = u64::from_le_bytes(header[PREFIX_LEN..PREFIX_LEN + 8].try_into().unwrap());
+    let payload_len = u64::from_le_bytes(header[PREFIX_LEN + 8..].try_into().unwrap());
     if u64::try_from(payload.len()) != Ok(payload_len) {
         return invalid(format!(
             "payload length {payload_len} disagrees with the {} bytes after the header",
@@ -615,9 +529,7 @@ fn encode_file(key_hash: u64, record: &RunRecord) -> std::io::Result<Vec<u8>> {
     } = record;
     let len = payload_len(workload, prefetcher);
     let mut out = Vec::with_capacity(HEADER_LEN + len);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key_hash.to_le_bytes());
+    store_file::push_prefix(&mut out, MAGIC, FORMAT_VERSION, key_hash);
     out.extend_from_slice(&[0; 8]); // checksum, filled in below
     out.extend_from_slice(&(len as u64).to_le_bytes());
     out.push(u8::from(*memory_intensive));
@@ -638,7 +550,7 @@ fn encode_file(key_hash: u64, record: &RunRecord) -> std::io::Result<Vec<u8>> {
         out.extend_from_slice(name.as_bytes());
     }
     let checksum = fnv1a(&out[HEADER_LEN..]);
-    out[20..28].copy_from_slice(&checksum.to_le_bytes());
+    out[PREFIX_LEN..PREFIX_LEN + 8].copy_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
 
@@ -657,8 +569,7 @@ pub struct ResultStore {
     /// always 0 outside tests, which use it to simulate a binary built
     /// from different simulator sources.
     hash_salt: u64,
-    telemetry: Mutex<Telemetry>,
-    spans: Mutex<Spans>,
+    sinks: Sinks,
     /// Running total of entry bytes on disk, so [`ResultStore::put`] can
     /// skip the directory walk while the store is under budget. `None`
     /// until first consulted; initialized from a scan, maintained
@@ -685,7 +596,7 @@ impl ResultStore {
                 Ok(0) => None,
                 Ok(n) => Some(n),
                 Err(_) => {
-                    warn!("[result-store] invalid {BUDGET_ENV}={v:?}; using default budget");
+                    warn!("[result_store] invalid {BUDGET_ENV}={v:?}; using default budget");
                     Some(DEFAULT_BUDGET_BYTES)
                 }
             },
@@ -701,8 +612,7 @@ impl ResultStore {
             dir: dir.into(),
             budget,
             hash_salt: 0,
-            telemetry: Mutex::new(Telemetry::disabled()),
-            spans: Mutex::new(Spans::disabled()),
+            sinks: Sinks::new("result_store"),
             cached_bytes: Mutex::new(None),
         }
     }
@@ -729,23 +639,12 @@ impl ResultStore {
 
     /// Routes the store's counters (`result_store.*`) to `telemetry`.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()) = telemetry;
+        self.sinks.set_telemetry(telemetry);
     }
 
     /// Routes the store's `result.*` spans to `spans`.
     pub fn set_spans(&self, spans: Spans) {
-        *self.spans.lock().unwrap_or_else(|e| e.into_inner()) = spans;
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.telemetry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn spans(&self) -> Spans {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.sinks.set_spans(spans);
     }
 
     /// The file an entry for `key` lives in. Sized up front: `join` would
@@ -763,8 +662,8 @@ impl ResultStore {
     /// as `result_store.invalidate`, and reported as a miss so the caller
     /// regenerates it.
     pub fn get(&self, key: &ResultKey) -> Option<RunRecord> {
-        let telemetry = self.telemetry();
-        let spans = self.spans();
+        let telemetry = self.sinks.telemetry();
+        let spans = self.sinks.spans();
         let path = self.path_for(key);
         let started = Instant::now();
         let load_span = spans.begin("result.load");
@@ -789,15 +688,8 @@ impl ResultStore {
                 None
             }
             Err(LoadError::Invalid(reason)) => {
-                telemetry.count("result_store.invalidate", 1);
-                warn!(
-                    "[result-store] discarding {}: {reason}; re-simulating",
-                    path.display()
-                );
-                let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                if std::fs::remove_file(&path).is_ok() {
-                    self.note_disk_change(len, 0);
-                }
+                let removed = self.sinks.discard(&path, &reason);
+                self.note_disk_change(removed, 0);
                 None
             }
         }
@@ -807,8 +699,8 @@ impl ResultStore {
     /// byte budget. Failure to write is reported but not fatal — the sweep
     /// just loses persistence for this entry.
     pub fn put(&self, key: &ResultKey, record: &RunRecord) {
-        let telemetry = self.telemetry();
-        let spans = self.spans();
+        let telemetry = self.sinks.telemetry();
+        let spans = self.sinks.spans();
         let path = self.path_for(key);
         let started = Instant::now();
         let write_span = spans.begin("result.write");
@@ -831,7 +723,7 @@ impl ResultStore {
                 );
             }
             Err(e) => warn!(
-                "[result-store] cannot write {}: {e}; continuing without persistence",
+                "[result_store] cannot write {}: {e}; continuing without persistence",
                 path.display()
             ),
         }
@@ -903,7 +795,7 @@ impl ResultStore {
             .collect();
         let mut total: u64 = files.iter().map(|(_, _, len)| len).sum();
         if total > budget {
-            let telemetry = self.telemetry();
+            let telemetry = self.sinks.telemetry();
             files.sort();
             for (_, path, len) in files {
                 if total <= budget {
@@ -926,14 +818,7 @@ impl ResultStore {
 /// unset falls back to the workspace's `target/result-store/`.
 pub fn shared() -> &'static ResultStore {
     static SHARED: OnceLock<ResultStore> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let dir = std::env::var_os(DIR_ENV)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/result-store")
-            });
-        ResultStore::at(dir)
-    })
+    SHARED.get_or_init(|| ResultStore::at(store_file::store_dir(DIR_ENV, "result-store")))
 }
 
 #[cfg(test)]
@@ -941,6 +826,7 @@ mod tests {
     use super::*;
     use crate::runner::Simulator;
     use cbws_workloads::by_name;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique per-test scratch directory (no tempfile dependency).
     fn scratch_dir(tag: &str) -> PathBuf {

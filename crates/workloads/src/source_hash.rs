@@ -23,6 +23,7 @@
 //! file — coarser, never wrong, and a unit test pins that every committed
 //! kernel is actually found.
 
+use crate::trace_store::store_file::{fnv1a_fold, fnv1a_fold_named, FNV_BASIS};
 use crate::{Suite, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -49,40 +50,18 @@ fn suite_source(suite: Suite) -> (&'static str, &'static str) {
     }
 }
 
-/// FNV-1a offset basis — the empty-input hash state.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Folds one named blob into an FNV-1a state. The blob is framed with its
-/// name (NUL-separated) so content moving between blobs still changes the
-/// hash.
-pub(crate) fn fnv_fold(h: u64, name: &str, body: &str) -> u64 {
-    fold_bytes(
-        fold_bytes(fold_bytes(h, name.as_bytes()), &[0]),
-        body.as_bytes(),
-    )
-}
-
 /// Folds a named source file while *skipping* the byte ranges in `skip`
 /// (sorted, non-overlapping). Used to hash a suite file's residual with its
 /// kernel spans carved out.
 fn fnv_fold_skipping(h: u64, name: &str, src: &str, skip: &[Range<usize>]) -> u64 {
-    let mut h = fold_bytes(fold_bytes(h, name.as_bytes()), &[0]);
+    let mut h = fnv1a_fold(fnv1a_fold(h, name.as_bytes()), &[0]);
     let mut pos = 0usize;
     for r in skip {
         let start = r.start.max(pos);
-        h = fold_bytes(h, &src.as_bytes()[pos..start]);
+        h = fnv1a_fold(h, &src.as_bytes()[pos..start]);
         pos = pos.max(r.end);
     }
-    fold_bytes(h, &src.as_bytes()[pos..])
+    fnv1a_fold(h, &src.as_bytes()[pos..])
 }
 
 /// Byte range of `fn <fn_name>(...) { ... }` within `src`, from the `fn`
@@ -201,12 +180,12 @@ pub fn hash_kernel_sources(
     let base = match own {
         Some(ref r) => {
             let residual = fnv_fold_skipping(common, file_name, src, &spans);
-            fnv_fold(residual, "kernel_fn", &src[r.clone()])
+            fnv1a_fold_named(residual, "kernel_fn", &src[r.clone()])
         }
         // Span not found: fall back to the whole file, as version 2 did.
-        None => fnv_fold(common, file_name, src),
+        None => fnv1a_fold_named(common, file_name, src),
     };
-    fnv_fold(base, "workload", workload_name)
+    fnv1a_fold_named(base, "workload", workload_name)
 }
 
 /// FNV state over the common sources every workload depends on.
@@ -215,7 +194,7 @@ pub fn common_state() -> u64 {
     *STATE.get_or_init(|| {
         let mut h = FNV_BASIS;
         for (name, body) in COMMON_SOURCES {
-            h = fnv_fold(h, name, body);
+            h = fnv1a_fold_named(h, name, body);
         }
         h
     })
@@ -254,10 +233,10 @@ fn suite_state(suite: Suite) -> &'static SuiteState {
             spans.sort_by_key(|r| r.start);
             let residual = fnv_fold_skipping(common, file_name, src, &spans);
             SuiteState {
-                whole: fnv_fold(common, file_name, src),
+                whole: fnv1a_fold_named(common, file_name, src),
                 fns: found
                     .into_iter()
-                    .map(|(f, r)| (f, fnv_fold(residual, "kernel_fn", &src[r])))
+                    .map(|(f, r)| (f, fnv1a_fold_named(residual, "kernel_fn", &src[r])))
                     .collect(),
             }
         })
@@ -283,7 +262,7 @@ pub fn workload_hash(workload: &WorkloadSpec) -> u64 {
         .get(workload.kernel_fn())
         .copied()
         .unwrap_or(state.whole);
-    fnv_fold(base, "workload", workload.name)
+    fnv1a_fold_named(base, "workload", workload.name)
 }
 
 #[cfg(test)]

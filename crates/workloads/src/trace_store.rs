@@ -68,12 +68,13 @@
 //!
 //! # Invalidation and fallback
 //!
-//! A file is only served when the magic, version, key (workload + scale),
-//! workload hash, footer checksum, **and every frame checksum** match.
-//! The workload hash has per-workload granularity ([`workload_hash`]):
-//! editing one kernel's `fn` body invalidates only the workloads emitting
-//! through it — the rest of the store stays warm. Any mismatch —
-//! corruption, version skew, hash skew — is counted as
+//! Writing, the magic / version / hash prefix and the corrupt-equals-miss
+//! rule are the [`store_file`] protocol the result store shares. A file is
+//! only served when the prefix, the key (workload + scale), the footer
+//! checksum **and every frame checksum** match. The workload hash has
+//! per-workload granularity ([`workload_hash`]): editing one kernel's `fn`
+//! body invalidates only the workloads emitting through it — the rest of
+//! the store stays warm. Any mismatch is counted as
 //! `trace_store.invalidate`, reported with a `warn!`, and falls back to
 //! regeneration (which rewrites the file); it never panics and never
 //! changes simulation results. Streamed opens verify every frame too, so a
@@ -93,6 +94,8 @@
 //! `trace.load` / `trace.validate` / `trace.generate` / `trace.write`
 //! spans on the calling thread's timeline lane.
 
+pub mod store_file;
+
 use crate::{Scale, WorkloadSpec};
 use cbws_telemetry::{warn, Spans, Telemetry};
 use cbws_trace::{FrameEntry, FramedTrace, PackedTrace, StreamObserver, TraceBuilder};
@@ -100,9 +103,9 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+use store_file::{invalid, scale_code, LoadError, Sinks, PREFIX_LEN};
 
 pub use crate::source_hash::workload_hash;
 pub use cbws_trace::fnv1a;
@@ -134,15 +137,6 @@ const FOOTER_ENTRY_LEN: u64 = 24;
 /// Bytes in the fixed EOF trailer (`total_events`, `frame_count`,
 /// `footer_checksum`).
 const TRAILER_LEN: u64 = 24;
-
-fn scale_code(scale: Scale) -> u8 {
-    match scale {
-        Scale::Tiny => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-        Scale::Huge => 3,
-    }
-}
 
 /// Read-only memory map of a whole file (unix). Falls back to
 /// [`std::fs::read`] when mapping fails or on other platforms.
@@ -232,19 +226,6 @@ fn read_file_shared(path: &Path) -> std::io::Result<Arc<dyn AsRef<[u8]> + Send +
     Ok(Arc::new(std::fs::read(path)?))
 }
 
-/// Why a stored file could not be served.
-enum LoadError {
-    /// No file yet — a plain miss.
-    Missing,
-    /// The file exists but is invalid for this binary (corruption, version
-    /// skew, workload-hash skew, wrong key). The reason is human-readable.
-    Invalid(String),
-}
-
-fn invalid<T>(reason: impl Into<String>) -> Result<T, LoadError> {
-    Err(LoadError::Invalid(reason.into()))
-}
-
 /// What the header, footer, and trailer say about a store file, gathered
 /// with three bounded reads — no frame data touched.
 struct FileMeta {
@@ -263,37 +244,25 @@ fn read_meta(
     want_name: &str,
     want_scale: Scale,
 ) -> Result<FileMeta, LoadError> {
-    let mut f = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Missing),
-        Err(e) => return invalid(format!("unreadable: {e}")),
-    };
+    let mut f = store_file::open(path)?;
     let file_len = match f.metadata() {
         Ok(m) => m.len(),
         Err(e) => return invalid(format!("unreadable: {e}")),
     };
-    let mut fixed = [0u8; 23];
+    // The prefix, then the scale byte and the name's `u16` length.
+    let mut fixed = [0u8; PREFIX_LEN + 3];
     if f.read_exact(&mut fixed).is_err() {
         return invalid("truncated header");
     }
-    if &fixed[0..8] != MAGIC {
-        return invalid("bad magic");
+    store_file::check_prefix(&fixed, MAGIC, FORMAT_VERSION, want_hash)?;
+    let scale = fixed[PREFIX_LEN];
+    let name_len = usize::from(u16::from_le_bytes([
+        fixed[PREFIX_LEN + 1],
+        fixed[PREFIX_LEN + 2],
+    ]));
+    if name_len as u64 > file_len {
+        return invalid("truncated header (name)");
     }
-    let version = u32::from_le_bytes(fixed[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return invalid(format!(
-            "format version {version}, this binary writes {FORMAT_VERSION}"
-        ));
-    }
-    let file_hash = u64::from_le_bytes(fixed[12..20].try_into().unwrap());
-    if file_hash != want_hash {
-        return invalid(format!(
-            "workload hash {file_hash:#018x} does not match this binary's {want_hash:#018x} \
-             (this workload's sources changed)"
-        ));
-    }
-    let scale = fixed[20];
-    let name_len = usize::from(u16::from_le_bytes(fixed[21..23].try_into().unwrap()));
     let mut name = vec![0u8; name_len];
     if f.read_exact(&mut name).is_err() {
         return invalid("truncated header (name)");
@@ -305,7 +274,7 @@ fn read_meta(
     if f.read_exact(&mut frame_events).is_err() {
         return invalid("truncated header (frame events)");
     }
-    let header_len = 23 + name_len as u64 + 4;
+    let header_len = fixed.len() as u64 + name_len as u64 + 4;
 
     // Trailer at EOF locates the footer.
     if file_len < header_len + TRAILER_LEN {
@@ -359,7 +328,10 @@ fn read_meta(
             checksum,
         });
         offset = end;
-        events_sum = events_sum.saturating_add(events);
+        events_sum = match events_sum.checked_add(events) {
+            Some(sum) => sum,
+            None => return invalid("frame event counts overflow"),
+        };
     }
     if offset != footer_start {
         return invalid("frame lengths disagree with file size");
@@ -421,8 +393,7 @@ pub struct TraceStore {
     /// Events per frame the writer flushes; from [`FRAME_EVENTS_ENV`] or
     /// [`DEFAULT_FRAME_EVENTS`], overridable per store for tests.
     frame_events: usize,
-    telemetry: Arc<Mutex<Telemetry>>,
-    spans: Arc<Mutex<Spans>>,
+    sinks: Sinks,
     map: Mutex<HashMap<(&'static str, Scale), Slot>>,
 }
 
@@ -440,8 +411,7 @@ impl TraceStore {
             dir: dir.into(),
             hash_salt: 0,
             frame_events,
-            telemetry: Arc::new(Mutex::new(Telemetry::disabled())),
-            spans: Arc::new(Mutex::new(Spans::disabled())),
+            sinks: Sinks::new("trace_store"),
             map: Mutex::new(HashMap::new()),
         }
     }
@@ -469,24 +439,13 @@ impl TraceStore {
     /// `telemetry`. Streamed cursors created before this call report to the
     /// new sink too — the observer reads the current handle at drop time.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()) = telemetry;
+        self.sinks.set_telemetry(telemetry);
     }
 
     /// Routes the store's `trace.*` spans to `spans` (they appear on the
     /// calling thread's lane, nested inside whatever span is open there).
     pub fn set_spans(&self, spans: Spans) {
-        *self.spans.lock().unwrap_or_else(|e| e.into_inner()) = spans;
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.telemetry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn spans(&self) -> Spans {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.sinks.set_spans(spans);
     }
 
     fn path_for(&self, name: &str, scale: Scale) -> PathBuf {
@@ -568,24 +527,11 @@ impl TraceStore {
         scale: Scale,
         stream_threshold: u64,
     ) -> FramedTrace {
-        let telemetry = self.telemetry();
-        let spans = self.spans();
+        let telemetry = self.sinks.telemetry();
         let hash = workload_hash(workload) ^ self.hash_salt;
         let path = self.path_for(workload.name, scale);
         let started = Instant::now();
-        let stored = {
-            let load_span = spans.begin("trace.load");
-            load_span.attr("workload", workload.name);
-            read_meta(&path, hash, workload.name, scale).and_then(|meta| {
-                let trace = self
-                    .handle(&path, meta, stream_threshold, workload.name)
-                    .or_else(|e| invalid(format!("unreadable: {e}")))?;
-                let _validate = spans.begin("trace.validate");
-                trace.verify().or_else(|e| invalid(e.to_string()))?;
-                Ok(trace)
-            })
-        };
-        match stored {
+        match self.load(&path, hash, workload.name, scale, stream_threshold) {
             Ok(trace) => {
                 telemetry.count("trace_store.hit", 1);
                 telemetry.count("trace_store.load_us", started.elapsed().as_micros() as u64);
@@ -593,12 +539,7 @@ impl TraceStore {
             }
             Err(LoadError::Missing) => telemetry.count("trace_store.miss", 1),
             Err(LoadError::Invalid(reason)) => {
-                telemetry.count("trace_store.invalidate", 1);
-                warn!(
-                    "[trace-store] discarding {}: {reason}; regenerating",
-                    path.display()
-                );
-                let _ = std::fs::remove_file(&path);
+                self.sinks.discard(&path, &reason);
             }
         }
         // A file this process just wrote needs no per-frame check: its
@@ -610,7 +551,7 @@ impl TraceStore {
             Ok(trace) => trace,
             Err(e) => {
                 warn!(
-                    "[trace-store] cannot write {}: {e}; continuing without persistence",
+                    "[trace_store] cannot write {}: {e}; continuing without persistence",
                     path.display()
                 );
                 let (bytes, meta) = self
@@ -620,6 +561,28 @@ impl TraceStore {
                     .expect("frames lie inside the buffer they were written to")
             }
         }
+    }
+
+    /// Serves the store file at `path` if it is valid for the key: its
+    /// metadata parses and every frame checks out.
+    fn load(
+        &self,
+        path: &Path,
+        hash: u64,
+        workload: &'static str,
+        scale: Scale,
+        stream_threshold: u64,
+    ) -> Result<FramedTrace, LoadError> {
+        let spans = self.sinks.spans();
+        let load_span = spans.begin("trace.load");
+        load_span.attr("workload", workload);
+        let meta = read_meta(path, hash, workload, scale)?;
+        let trace = self
+            .handle(path, meta, stream_threshold, workload)
+            .or_else(|e| invalid(format!("unreadable: {e}")))?;
+        let _validate = spans.begin("trace.validate");
+        trace.verify().or_else(|e| invalid(e.to_string()))?;
+        Ok(trace)
     }
 
     /// Wraps a store file's frame table in a handle. The file size picks
@@ -646,9 +609,9 @@ impl TraceStore {
     }
 
     /// Stream-generates `(workload, scale)` straight to its store file
-    /// through [`write_trace`](TraceStore::write_trace), then renames it
-    /// into place atomically. Peak memory is one frame regardless of trace
-    /// length.
+    /// through [`write_trace`](TraceStore::write_trace), written atomically
+    /// ([`store_file::write_atomic_with`]). Peak memory is one frame
+    /// regardless of trace length.
     fn generate_file(
         &self,
         workload: &'static WorkloadSpec,
@@ -656,30 +619,11 @@ impl TraceStore {
         hash: u64,
         path: &Path,
     ) -> std::io::Result<FileMeta> {
-        // The temp name is unique per write, not just per process: two
-        // stores on one directory may generate the same key concurrently,
-        // and a shared temp path would let one writer truncate the other's
-        // half-written file.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = File::create(&tmp)
-            .and_then(|file| self.write_trace(workload, scale, hash, file))
-            .and_then(|(file, meta)| {
-                file.sync_all()?;
-                drop(file);
-                std::fs::rename(&tmp, path)?;
-                self.telemetry().count("trace_store.write", 1);
-                Ok(meta)
-            });
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        let meta = store_file::write_atomic_with(path, |file| {
+            self.write_trace(workload, scale, hash, file)
+        })?;
+        self.sinks.telemetry().count("trace_store.write", 1);
+        Ok(meta)
     }
 
     /// Writes the whole store file for `(workload, scale)` to `out`:
@@ -693,13 +637,11 @@ impl TraceStore {
         hash: u64,
         out: W,
     ) -> std::io::Result<(W, FileMeta)> {
-        let telemetry = self.telemetry();
-        let spans = self.spans();
+        let telemetry = self.sinks.telemetry();
+        let spans = self.sinks.spans();
         let started = Instant::now();
         let mut header = Vec::with_capacity(32 + workload.name.len());
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&hash.to_le_bytes());
+        store_file::push_prefix(&mut header, MAGIC, FORMAT_VERSION, hash);
         header.push(scale_code(scale));
         header.extend_from_slice(&(workload.name.len() as u16).to_le_bytes());
         header.extend_from_slice(workload.name.as_bytes());
@@ -771,17 +713,15 @@ impl TraceStore {
     /// [`cbws_trace::StreamStats`] to the store's *current* telemetry and
     /// span sinks as `trace.stream.*` counters and a `trace.stream` span.
     fn stream_observer(&self, workload: &'static str) -> StreamObserver {
-        let telemetry = Arc::clone(&self.telemetry);
-        let spans = Arc::clone(&self.spans);
+        let sinks = self.sinks.clone();
         Arc::new(move |stats| {
-            let t = telemetry.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            let t = sinks.telemetry();
             t.count("trace.stream.replays", 1);
             t.count("trace.stream.frames", stats.frames);
             t.count("trace.stream.bytes", stats.bytes);
             t.count("trace.stream.stalls", stats.stalls);
             t.count("trace.stream.stall_us", stats.stall_micros);
-            let s = spans.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            let span = s.begin("trace.stream");
+            let span = sinks.spans().begin("trace.stream");
             span.attr("workload", workload)
                 .attr("frames", stats.frames)
                 .attr("bytes", stats.bytes)
@@ -795,14 +735,7 @@ impl TraceStore {
 /// unset falls back to the workspace's `target/trace-store/`.
 pub fn shared() -> &'static TraceStore {
     static SHARED: OnceLock<TraceStore> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let dir = std::env::var_os(DIR_ENV)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/trace-store")
-            });
-        TraceStore::at(dir)
-    })
+    SHARED.get_or_init(|| TraceStore::at(store_file::store_dir(DIR_ENV, "trace-store")))
 }
 
 #[cfg(test)]
@@ -1233,6 +1166,200 @@ mod tests {
         let validate = records.iter().find(|r| r.name == "trace.validate").unwrap();
         assert_eq!(validate.depth, 1);
         assert!(records.iter().all(|r| r.dur_us.is_some()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Heap accounting for the damage tests: the largest single request
+    /// made on a thread while that thread is probing. Other threads and
+    /// other tests pass straight through to [`System`].
+    mod probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|l| {
+                if let Some(largest) = l.get() {
+                    l.set(Some(largest.max(size)));
+                }
+            });
+        }
+
+        struct Probe;
+
+        // SAFETY: every method forwards its arguments unchanged to
+        // `System`, which upholds the `GlobalAlloc` contract; `note` only
+        // touches a const-initialized thread-local `Cell`, which neither
+        // allocates nor runs a destructor.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc(layout)
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc_zeroed(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        /// `f`'s result and the largest single allocation it made on this
+        /// thread.
+        pub fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+            LARGEST.with(|l| l.set(Some(0)));
+            let out = f();
+            (out, LARGEST.with(|l| l.take()).unwrap_or(0))
+        }
+    }
+
+    /// Small allocations any open makes whatever the file says: the path's
+    /// C string, an error's reason.
+    const ALLOC_SLACK: usize = 1024;
+
+    /// A multi-frame Tiny store file and the store that wrote it.
+    fn damage_fixture(tag: &str) -> (PathBuf, TraceStore, &'static WorkloadSpec, Vec<u8>) {
+        let dir = scratch_dir(tag);
+        let w = by_name("nw").unwrap();
+        let store = TraceStore::at(&dir).with_frame_events(64);
+        assert!(store.get(w, Scale::Tiny).frames().len() > 4);
+        let pristine = std::fs::read(store.path_for(w.name, Scale::Tiny)).unwrap();
+        (dir, store, w, pristine)
+    }
+
+    /// Stores `bytes` as `w`'s file and opens it both resident and
+    /// streamed: each open must reject it, and the resident one must make
+    /// no allocation larger than the file. Every `sample`-th case also
+    /// goes through a fresh store's `get`, which must count one
+    /// invalidation and serve the regenerated trace.
+    fn assert_rejected(
+        store: &TraceStore,
+        w: &'static WorkloadSpec,
+        bytes: &[u8],
+        sample: bool,
+        what: &str,
+    ) {
+        let path = store.path_for(w.name, Scale::Tiny);
+        std::fs::write(&path, bytes).unwrap();
+        let hash = workload_hash(w);
+        let (resident, largest) =
+            probe::largest_allocation(|| store.load(&path, hash, w.name, Scale::Tiny, u64::MAX));
+        assert!(
+            matches!(resident, Err(LoadError::Invalid(_))),
+            "{what}: resident open did not reject the file"
+        );
+        assert!(
+            largest <= bytes.len() + ALLOC_SLACK,
+            "{what}: a {largest}-byte allocation for a {}-byte file",
+            bytes.len()
+        );
+        let streamed = store.load(&path, hash, w.name, Scale::Tiny, 0);
+        assert!(
+            matches!(streamed, Err(LoadError::Invalid(_))),
+            "{what}: streamed open did not reject the file"
+        );
+        if sample {
+            let telemetry = Telemetry::enabled_default();
+            let fresh = TraceStore::at(store.dir()).with_frame_events(64);
+            fresh.set_telemetry(telemetry.clone());
+            let served = fresh.get(w, Scale::Tiny).to_trace();
+            assert_eq!(counter(&telemetry, "trace_store.invalidate"), 1, "{what}");
+            assert_eq!(counter(&telemetry, "trace_store.hit"), 0, "{what}");
+            assert_eq!(served, w.generate(Scale::Tiny), "{what}");
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_offset_is_rejected() {
+        let (dir, store, w, pristine) = damage_fixture("truncate-all");
+        for cut in 0..pristine.len() {
+            let what = format!("truncated to {cut} of {} bytes", pristine.len());
+            assert_rejected(&store, w, &pristine[..cut], cut.is_multiple_of(509), &what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Footer entries whose `len` or `events` lie, under a recomputed
+    /// footer checksum, so only the bounds and cross checks stand between
+    /// the lie and replay. Some lies are compensated (a neighbour's `len`,
+    /// the trailer's total) so that the later checks must catch them.
+    #[test]
+    fn lying_footer_entries_are_rejected() {
+        let (dir, store, w, pristine) = damage_fixture("footer-lies");
+        let n = pristine.len();
+        let word =
+            |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let frames = word(&pristine, n - 16) as usize;
+        let footer = n - TRAILER_LEN as usize - frames * FOOTER_ENTRY_LEN as usize;
+        let entry = |i: usize| footer + i * FOOTER_ENTRY_LEN as usize;
+        // Sets the words at `edits` (absolute offsets), then re-signs the
+        // footer.
+        let lie = |edits: &[(usize, u64)]| {
+            let mut bytes = pristine.clone();
+            for &(at, value) in edits {
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            let fnv = fnv1a(&bytes[footer..n - TRAILER_LEN as usize]);
+            bytes[n - 8..].copy_from_slice(&fnv.to_le_bytes());
+            bytes
+        };
+        let total_at = n - TRAILER_LEN as usize;
+        let total = word(&pristine, total_at);
+        let mut case = 0usize;
+        for i in 0..frames {
+            let (len_at, events_at) = (entry(i), entry(i) + 8);
+            let len = word(&pristine, len_at);
+            let events = word(&pristine, events_at);
+            let mut cases: Vec<(String, Vec<(usize, u64)>)> = Vec::new();
+            for bad in [len + 1, len - 1, 0, n as u64, u64::MAX, u64::MAX - len + 1] {
+                cases.push((format!("len {bad}"), vec![(len_at, bad)]));
+            }
+            for bad in [events + 1, events - 1, 0, u64::MAX] {
+                cases.push((format!("events {bad}"), vec![(events_at, bad)]));
+                // The trailer agrees with the lie, wrapping as it must.
+                let agreed = total.wrapping_sub(events).wrapping_add(bad);
+                cases.push((
+                    format!("events {bad}, trailer total {agreed}"),
+                    vec![(events_at, bad), (total_at, agreed)],
+                ));
+            }
+            // A sum that saturates would agree with this trailer.
+            cases.push((
+                "events and trailer total at u64::MAX".into(),
+                vec![(events_at, u64::MAX), (total_at, u64::MAX)],
+            ));
+            if i + 1 < frames {
+                let next = entry(i + 1);
+                let next_len = word(&pristine, next);
+                cases.push((
+                    "len moved to the next frame".into(),
+                    vec![(len_at, len + 1), (next, next_len - 1)],
+                ));
+                cases.push((
+                    "len taken from the next frame".into(),
+                    vec![(len_at, len - 1), (next, next_len + 1)],
+                ));
+            }
+            for (what, edits) in cases {
+                case += 1;
+                let what = format!("frame {i} of {frames}: {what}");
+                assert_rejected(&store, w, &lie(&edits), case.is_multiple_of(41), &what);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

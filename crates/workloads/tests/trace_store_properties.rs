@@ -1,6 +1,8 @@
 //! Property test: any single-bit corruption of a stored trace file is
-//! caught by the header checks or the per-column checksums, and the store
-//! falls back to regeneration — same trace out, no panic.
+//! caught by the header checks, the footer checksum or a frame checksum,
+//! and the store falls back to regeneration — same trace out, no panic.
+//! Truncation at every offset and lying footer entries are unit-tested
+//! beside the reader in `trace_store.rs`.
 
 use cbws_telemetry::Telemetry;
 use cbws_workloads::trace_store::TraceStore;
