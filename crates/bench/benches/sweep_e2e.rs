@@ -15,8 +15,8 @@
 //! replays packed columnar traces from the store, the identity assertion
 //! also cross-validates the two trace representations end to end.
 //!
-//! Four competitors are timed: the serial sweep (AoS traces, cold trace
-//! cache each run, timed in alternating pairs with the warm engine), the
+//! Four competitors are timed: the serial sweep (AoS traces generated
+//! inline each run, timed in alternating pairs with the warm engine), the
 //! engine with a **cold** trace store (pays DSL
 //! generation plus encode/write), the engine with a **warm** store
 //! (checksum-verified loads only — the steady state of repeated sweeps and
@@ -32,7 +32,7 @@
 use cbws_harness::engine::detect_parallelism;
 use cbws_harness::experiments::{sweep, sweep_engine_with};
 use cbws_harness::{result_store, ResultCache};
-use cbws_workloads::{trace_cache, trace_store, Scale, WorkloadSpec, ALL};
+use cbws_workloads::{trace_store, Scale, WorkloadSpec, ALL};
 use std::time::Instant;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -98,7 +98,7 @@ fn main() {
     }
     eprintln!("[sweep_e2e] engine (cold store): {engine_secs:.3} s on {workers} workers");
 
-    // The serial competitor (cold trace cache each time) against the
+    // The serial competitor (generating every trace each time) against the
     // engine over a warm store: files persist across runs, only the
     // in-process memoization is dropped, so each run pays verified loads
     // instead of generation — the steady state of repeated sweeps. The two
@@ -111,7 +111,6 @@ fn main() {
     let mut warm_records = Vec::new();
     let mut warm_workers = Vec::new();
     for _ in 0..iters {
-        trace_cache::shared().clear();
         let t = Instant::now();
         serial_records = sweep(scale, &workloads);
         serial_secs = serial_secs.min(t.elapsed().as_secs_f64());

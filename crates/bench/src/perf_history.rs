@@ -35,10 +35,11 @@
 //! throughput; a single-worker engine sweep must stay within
 //! [`SINGLE_WORKER_OVERHEAD_CEILING`]` * serial_seconds`; and a sweep
 //! served from the persistent result store must beat the warm engine
-//! sweep by [`CACHED_SWEEP_SPEEDUP_FLOOR`]`x`. The batched lane decoder,
-//! the read-ahead file cursor, the engine's inline single-worker run, and
-//! the content-addressed result store established those bounds, and ratio
-//! gates hold across hosts where a wall-clock mean would not.
+//! sweep by [`CACHED_SWEEP_SPEEDUP_FLOOR`]`x`. Each bound is a ratio
+//! between two legs of one run — packed against AoS replay, streamed
+//! against in-memory replay, one worker against the serial loop, cached
+//! against simulated jobs — so it holds across hosts where a wall-clock
+//! mean would not.
 //!
 //! The driver is the `perf-history` binary; see its module docs for the
 //! CLI. Snapshot parsing is shared through [`load_snapshot`] /

@@ -250,10 +250,6 @@ fn reproducing() -> String {
          | `--metrics-out F` | JSON metrics dump (see below) |\n\n\
          ## Environment\n\n\
          | variable | effect |\n|---|---|\n\
-         | `CBWS_TRACE_CACHE_BYTES` | byte budget of the shared trace cache \
-         (default 1 GiB). Generated traces are shared per (workload, scale) \
-         across the sweep; lower it on small machines, raise it if \
-         regeneration shows up in `--progress` phase timings. |\n\
          | `CBWS_TRACE_STORE_DIR` | directory of the persistent on-disk \
          [trace store](trace-store.md) (default `target/trace-store/`). The \
          sweep engine and figure regenerators read packed traces from here \

@@ -37,7 +37,7 @@ use cbws_sim_mem::DramConfig;
 use cbws_stats::{RunRecord, TextTable};
 use cbws_telemetry::{result, status, Telemetry};
 use cbws_trace::{FramedTrace, Trace};
-use cbws_workloads::{by_name, trace_cache, trace_store, Scale, WorkloadSpec};
+use cbws_workloads::{by_name, trace_store, Scale, WorkloadSpec};
 use std::sync::Arc;
 
 const DEFAULT_WORKLOAD: &str = "stencil-default";
@@ -131,8 +131,9 @@ fn main() {
         };
 
     if let Some(out) = arg_value(&args, "--export") {
-        let trace: Arc<Trace> = match (&external, spec) {
-            (Some(t), _) => Arc::clone(t),
+        let generated;
+        let trace: &Trace = match (&external, spec) {
+            (Some(t), _) => t,
             (None, Some(w)) => {
                 if scale == Scale::Huge {
                     fail(
@@ -140,11 +141,12 @@ fn main() {
                          export a smaller scale, or read the framed store file directly",
                     );
                 }
-                trace_cache::generate_shared(w, scale)
+                generated = trace_store::shared().get(w, scale).to_trace();
+                &generated
             }
             (None, None) => unreachable!("no spec and no external trace"),
         };
-        let json = serde_json::to_string(trace.as_ref()).expect("traces serialize");
+        let json = serde_json::to_string(trace).expect("traces serialize");
         std::fs::write(&out, json).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         status!("[simulate] exported {} events to {out}", trace.len());
     }

@@ -1,20 +1,20 @@
-//! Trace inspection tool: generates a workload's trace and prints its
-//! structural profile — instruction mix, block statistics, working-set-size
-//! distribution (§IV-A's 16-line sufficiency statistic), and the CBWS
-//! differential skew.
+//! Trace inspection tool: reads a workload's trace from the trace store
+//! (generating it there on a miss) and prints its structural profile —
+//! instruction mix, block statistics, working-set-size distribution
+//! (§IV-A's 16-line sufficiency statistic), and the CBWS differential skew.
 //!
 //! Usage: `cargo run --release -p cbws-harness --bin trace_info --
 //! <workload> [--scale tiny|small|full] [--jobs N]`
 //!
 //! `--jobs` is accepted for CLI uniformity but has no effect: this binary
-//! generates and inspects a single trace.
+//! inspects a single trace.
 //!
 //! List available workloads with `--list`.
 
 use cbws_core::analysis::{collect_block_histories, DifferentialSkew};
 use cbws_harness::experiments::{jobs_from_args, scale_from_args};
 use cbws_telemetry::result;
-use cbws_workloads::{by_name, ALL};
+use cbws_workloads::{by_name, trace_store, ALL};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,7 +56,7 @@ fn main() {
 
     let scale = scale_from_args();
     let _ = jobs_from_args(); // validated for CLI uniformity; no sweep here
-    let trace = cbws_workloads::trace_cache::generate_shared(w, scale);
+    let trace = trace_store::shared().get(w, scale);
     let s = trace.stats();
 
     result!("workload : {} ({}, {:?})", w.name, w.suite, w.group);

@@ -177,15 +177,17 @@ pub fn save_csv(name: &str, table: &TextTable) {
     }
 }
 
-/// Runs the full (workload x prefetcher) sweep shared by Figs. 12-15.
-/// Progress goes to stderr.
+/// Runs the full (workload x prefetcher) sweep serially over AoS traces:
+/// the reference the engine's records are checked against. Each trace is
+/// generated inline and dropped after its runs, so one is resident at a
+/// time. Progress goes to stderr.
 pub fn sweep(scale: Scale, workloads: &[&'static WorkloadSpec]) -> Vec<RunRecord> {
     let sim = Simulator::new(SystemConfig::default());
     let mut records = Vec::with_capacity(workloads.len() * PrefetcherKind::ALL.len());
     let (mut generate, mut simulate) = (0.0, 0.0);
     for w in workloads {
         let step = Instant::now();
-        let trace = cbws_workloads::trace_cache::generate_shared(w, scale);
+        let trace = w.generate(scale);
         generate += step.elapsed().as_secs_f64();
         status!(
             "[sweep] {} ({} instructions)",
@@ -197,7 +199,7 @@ pub fn sweep(scale: Scale, workloads: &[&'static WorkloadSpec]) -> Vec<RunRecord
             records.push(sim.run(
                 w.name,
                 w.group == cbws_workloads::Group::MemoryIntensive,
-                &*trace,
+                &trace,
                 kind,
             ));
         }

@@ -95,13 +95,6 @@ impl Trace {
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_events(&self.events)
     }
-
-    /// Approximate resident heap footprint in bytes (capacity, not length,
-    /// of the event storage). Used by the shared trace cache to enforce its
-    /// byte budget.
-    pub fn footprint_bytes(&self) -> u64 {
-        (self.events.capacity() * std::mem::size_of::<TraceEvent>()) as u64
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {

@@ -932,7 +932,8 @@ pub enum FrameError {
         /// Why the parser rejected it.
         error: PackedError,
     },
-    /// The payload's event count differs from the frame table's.
+    /// The payload's event count differs from the frame table's, or the
+    /// table's event counts overflow a `usize` when summed up to this frame.
     EventCount {
         /// Index of the frame.
         frame: usize,
@@ -1035,12 +1036,21 @@ impl fmt::Debug for FramedTrace {
 }
 
 impl FramedTrace {
-    fn new(frames: Vec<FrameEntry>, bytes: ByteSource) -> FramedTrace {
-        FramedTrace {
-            total_events: frames.iter().map(|f| f.events as usize).sum(),
+    /// Wraps a frame table whose event counts sum to a `usize`; the first
+    /// frame that overflows the sum is an [`FrameError::EventCount`].
+    fn new(frames: Vec<FrameEntry>, bytes: ByteSource) -> Result<FramedTrace, FrameError> {
+        let mut total_events = 0usize;
+        for (frame, f) in frames.iter().enumerate() {
+            total_events = usize::try_from(f.events)
+                .ok()
+                .and_then(|n| total_events.checked_add(n))
+                .ok_or(FrameError::EventCount { frame })?;
+        }
+        Ok(FramedTrace {
+            total_events,
             frames: frames.into(),
             bytes,
-        }
+        })
     }
 
     /// Frames resident in `data`, each a view at its table offset.
@@ -1055,12 +1065,12 @@ impl FramedTrace {
         {
             return Err(FrameError::OutOfBounds { frame });
         }
-        Ok(FramedTrace::new(frames, ByteSource::Resident(data)))
+        FramedTrace::new(frames, ByteSource::Resident(data))
     }
 
     /// Frames read from the file at `path` during replay, one frame
     /// resident at a time per cursor (plus the read-ahead's).
-    pub fn read_ahead(path: PathBuf, frames: Vec<FrameEntry>) -> FramedTrace {
+    pub fn read_ahead(path: PathBuf, frames: Vec<FrameEntry>) -> Result<FramedTrace, FrameError> {
         FramedTrace::new(
             frames,
             ByteSource::ReadAhead {
@@ -1747,7 +1757,10 @@ mod tests {
         ));
         let (bytes, entries) = framed_bytes(trace, frame_events);
         std::fs::write(&path, bytes).unwrap();
-        (FramedTrace::read_ahead(path.clone(), entries), path)
+        (
+            FramedTrace::read_ahead(path.clone(), entries).unwrap(),
+            path,
+        )
     }
 
     /// A ~650-event trace: long enough to span several 256-event decode
@@ -1821,6 +1834,24 @@ mod tests {
         assert!(matches!(
             FramedTrace::resident(Arc::new(bytes), entries),
             Err(FrameError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn overflowing_event_counts_are_rejected() {
+        let lying = FrameEntry {
+            offset: 0,
+            len: 0,
+            events: u64::MAX,
+            checksum: 0,
+        };
+        assert!(matches!(
+            FramedTrace::resident(Arc::new(Vec::<u8>::new()), vec![lying; 2]),
+            Err(FrameError::EventCount { .. })
+        ));
+        assert!(matches!(
+            FramedTrace::read_ahead(PathBuf::from("unused.frames"), vec![lying; 2]),
+            Err(FrameError::EventCount { .. })
         ));
     }
 

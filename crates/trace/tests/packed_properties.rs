@@ -99,7 +99,7 @@ fn both_sources(
     let resident = FramedTrace::resident(Arc::new(bytes), entries.clone()).expect("in bounds");
     (
         resident,
-        FramedTrace::read_ahead(path.clone(), entries),
+        FramedTrace::read_ahead(path.clone(), entries).expect("event counts sum"),
         path,
     )
 }

@@ -1,240 +1,26 @@
-//! Process-wide shared trace cache.
+//! A retired in-process trace memo, kept as an empty shim.
 //!
-//! The evaluation re-uses the same `(workload, scale)` trace many times: the
-//! sweep runs every prefetcher over it, and the figure regenerators
-//! (Figs. 1, 5, 12–15) each need the same traces again. Kernels are
-//! deterministic, so regenerating is pure waste. This module generates each
-//! trace **once** per `(workload, scale)` and hands out `Arc<Trace>` clones,
-//! so all prefetcher runs — and all figure computations within one binary —
-//! share a single in-memory copy.
+//! Traces used to be memoized here as whole `Vec<TraceEvent>`s per
+//! `(workload, scale)`. Every replay now reads the persistent
+//! [`trace_store`](crate::trace_store), and the serial reference sweep
+//! (`cbws_harness::experiments::sweep`) generates each trace inline and
+//! drops it after its runs, so there is nothing left to memoize.
 //!
-//! Invariants (relied on by the experiment engine, see DESIGN.md):
-//!
-//! * **Purity** — kernels are deterministic functions of `(name, scale)`;
-//!   a cached trace is indistinguishable from a fresh one.
-//! * **Single generation** — concurrent requests for the same key block on
-//!   one generator; the kernel never runs twice for a key (pointer-equal
-//!   `Arc`s witness this).
-//! * **Bounded memory** — the cache evicts least-recently-used entries past
-//!   a byte budget (`CBWS_TRACE_CACHE_BYTES`, default 1 GiB). Eviction only
-//!   drops the cache's own reference: outstanding `Arc`s stay valid, and a
-//!   later request simply regenerates. Timing changes, results never do.
-//!
-//! This cache materializes whole `Vec<TraceEvent>` traces, so it is the
-//! wrong tool for [`Scale::Huge`]: a single huge trace can dwarf the whole
-//! byte budget before eviction can help. Huge traces belong to the
-//! persistent [`trace_store`](crate::trace_store), whose streamed replay
-//! path keeps memory bounded regardless of trace length;
-//! [`TraceCache::get`] debug-asserts against huge requests to catch the
-//! mistake early.
+//! What remains is the one call the golden-record blessing in
+//! `crates/benchmark` still makes between scales,
+//! `trace_cache::shared().clear()`; it does nothing. The module goes once
+//! that caller is gone.
 
-use crate::{Scale, WorkloadSpec};
-use cbws_trace::Trace;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Default byte budget when `CBWS_TRACE_CACHE_BYTES` is unset.
-pub const DEFAULT_BUDGET_BYTES: u64 = 1 << 30;
-
-type Slot = Arc<OnceLock<Arc<Trace>>>;
-
-struct Entry {
-    slot: Slot,
-    /// Monotone use counter value at last access (for LRU eviction).
-    last_use: u64,
-    /// Approximate heap footprint, filled in after generation.
-    bytes: u64,
-}
-
-/// A keyed, byte-budgeted, LRU trace cache. See the module docs.
-pub struct TraceCache {
-    map: Mutex<CacheState>,
-    budget_bytes: u64,
-}
-
-#[derive(Default)]
-struct CacheState {
-    entries: HashMap<(&'static str, Scale), Entry>,
-    tick: u64,
-}
+/// The retired cache: holds nothing.
+#[derive(Debug)]
+pub struct TraceCache;
 
 impl TraceCache {
-    /// Creates an empty cache with the given byte budget.
-    pub fn with_budget(budget_bytes: u64) -> Self {
-        TraceCache {
-            map: Mutex::new(CacheState::default()),
-            budget_bytes,
-        }
-    }
-
-    /// Returns the shared trace for `(workload, scale)`, generating it on
-    /// first request. Concurrent callers for the same key block on a single
-    /// generation; all receive clones of the same `Arc`.
-    ///
-    /// Debug-asserts that `scale` is not [`Scale::Huge`]: huge traces must
-    /// never be materialized in memory — replay them through the trace
-    /// store's streaming path instead (see the module docs).
-    pub fn get(&self, workload: &'static WorkloadSpec, scale: Scale) -> Arc<Trace> {
-        debug_assert!(
-            scale != Scale::Huge,
-            "huge traces must stream through trace_store, not materialize in trace_cache \
-             (workload {})",
-            workload.name
-        );
-        let slot = {
-            let mut state = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            let entry = state
-                .entries
-                .entry((workload.name, scale))
-                .or_insert_with(|| Entry {
-                    slot: Arc::new(OnceLock::new()),
-                    last_use: tick,
-                    bytes: 0,
-                });
-            entry.last_use = tick;
-            entry.slot.clone()
-        };
-        // Generate outside the map lock so other keys proceed in parallel;
-        // `OnceLock` serializes same-key initializers.
-        let freshly_generated = slot.get().is_none();
-        let trace = slot
-            .get_or_init(|| Arc::new(workload.generate(scale)))
-            .clone();
-        if freshly_generated {
-            self.note_generated(workload.name, scale, trace.footprint_bytes());
-        }
-        trace
-    }
-
-    /// Records the footprint of a newly generated entry and evicts LRU
-    /// entries (other than the one just used) past the byte budget.
-    fn note_generated(&self, name: &'static str, scale: Scale, bytes: u64) {
-        let mut state = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = state.entries.get_mut(&(name, scale)) {
-            e.bytes = bytes;
-        }
-        let mut total: u64 = state.entries.values().map(|e| e.bytes).sum();
-        while total > self.budget_bytes {
-            let victim = state
-                .entries
-                .iter()
-                .filter(|(k, e)| **k != (name, scale) && e.bytes > 0)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, e)| (*k, e.bytes));
-            match victim {
-                Some((key, freed)) => {
-                    state.entries.remove(&key);
-                    total -= freed;
-                }
-                None => break, // only the in-use entry remains
-            }
-        }
-    }
-
-    /// `(cached entries, total approximate bytes)` currently held.
-    pub fn stats(&self) -> (usize, u64) {
-        let state = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        (
-            state.entries.len(),
-            state.entries.values().map(|e| e.bytes).sum(),
-        )
-    }
-
-    /// Drops every cached trace (outstanding `Arc`s stay valid).
-    pub fn clear(&self) {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .clear();
-    }
+    /// Does nothing: there are no cached traces to drop.
+    pub fn clear(&self) {}
 }
 
-/// The process-wide cache. Budget comes from `CBWS_TRACE_CACHE_BYTES`
-/// (bytes; invalid or unset falls back to [`DEFAULT_BUDGET_BYTES`]).
+/// The process-wide (empty) cache.
 pub fn shared() -> &'static TraceCache {
-    static SHARED: OnceLock<TraceCache> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let budget = std::env::var("CBWS_TRACE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_BUDGET_BYTES);
-        TraceCache::with_budget(budget)
-    })
-}
-
-/// Shorthand: the shared cache's trace for `(workload, scale)`.
-pub fn generate_shared(workload: &'static WorkloadSpec, scale: Scale) -> Arc<Trace> {
-    shared().get(workload, scale)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::by_name;
-
-    #[test]
-    fn repeated_gets_are_pointer_equal() {
-        let cache = TraceCache::with_budget(DEFAULT_BUDGET_BYTES);
-        let w = by_name("stencil-default").unwrap();
-        let a = cache.get(w, Scale::Tiny);
-        let b = cache.get(w, Scale::Tiny);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn scales_are_distinct_keys() {
-        let cache = TraceCache::with_budget(DEFAULT_BUDGET_BYTES);
-        let w = by_name("stencil-default").unwrap();
-        let tiny = cache.get(w, Scale::Tiny);
-        let small = cache.get(w, Scale::Small);
-        assert!(!Arc::ptr_eq(&tiny, &small));
-        assert!(tiny.len() < small.len());
-    }
-
-    #[test]
-    fn cached_trace_matches_fresh_generation() {
-        let cache = TraceCache::with_budget(DEFAULT_BUDGET_BYTES);
-        let w = by_name("histo-large").unwrap();
-        let cached = cache.get(w, Scale::Tiny);
-        let fresh = w.generate(Scale::Tiny);
-        assert_eq!(cached.events(), fresh.events());
-    }
-
-    #[test]
-    fn budget_evicts_lru_but_serves_correctly() {
-        // A budget of 1 byte forces every new generation to evict the rest.
-        let cache = TraceCache::with_budget(1);
-        let a = by_name("stencil-default").unwrap();
-        let b = by_name("nw").unwrap();
-        let t1 = cache.get(a, Scale::Tiny);
-        let _t2 = cache.get(b, Scale::Tiny); // evicts a's entry
-        let (entries, _) = cache.stats();
-        assert!(entries <= 1, "budget not enforced: {entries} entries");
-        // The outstanding Arc stays valid and a re-get regenerates equal data.
-        let t1_again = cache.get(a, Scale::Tiny);
-        assert_eq!(t1.events(), t1_again.events());
-    }
-
-    #[test]
-    fn clear_drops_entries() {
-        let cache = TraceCache::with_budget(DEFAULT_BUDGET_BYTES);
-        let w = by_name("nw").unwrap();
-        let before = cache.get(w, Scale::Tiny);
-        cache.clear();
-        assert_eq!(cache.stats().0, 0);
-        let after = cache.get(w, Scale::Tiny);
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(before.events(), after.events());
-    }
-
-    #[test]
-    fn shared_cache_is_a_singleton() {
-        let w = by_name("mxm-linpack").unwrap();
-        let a = generate_shared(w, Scale::Tiny);
-        let b = shared().get(w, Scale::Tiny);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
+    &TraceCache
 }

@@ -1,8 +1,7 @@
 //! Persistent on-disk trace store with framed payloads and streamed replay.
 //!
-//! The in-process [`crate::trace_cache`] amortizes trace generation *within*
-//! one binary; every new process still regenerates all 30 kernels from the
-//! DSL before it can simulate anything. This module persists each generated
+//! Without it every new process would regenerate all 30 kernels from the
+//! DSL before it could simulate anything. This module persists each generated
 //! trace — as a sequence of independently decodable
 //! [`cbws_trace::PackedTrace`] **frames** — to a versioned, checksummed file
 //! under `CBWS_TRACE_STORE_DIR` (default: `target/trace-store/` of the
@@ -596,12 +595,13 @@ impl TraceStore {
         stream_threshold: u64,
         workload: &'static str,
     ) -> std::io::Result<FramedTrace> {
+        let bad = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
         if meta.file_len > stream_threshold {
-            return Ok(FramedTrace::read_ahead(path.to_path_buf(), meta.entries)
-                .with_observer(self.stream_observer(workload)));
+            return FramedTrace::read_ahead(path.to_path_buf(), meta.entries)
+                .map(|t| t.with_observer(self.stream_observer(workload)))
+                .map_err(|e| bad(e.to_string()));
         }
         let data = read_file_shared(path)?;
-        let bad = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
         if (*data).as_ref().len() as u64 != meta.file_len {
             return Err(bad("file changed while loading".into()));
         }
