@@ -309,12 +309,12 @@ fn trace_store(root: &Path) -> Result<String, String> {
          the byte source differs — a memory map for ordinary files \
          (frames are zero-copy views of it), or frame-by-frame reads from \
          disk for files past the streaming threshold.\n\n\
-         ## File format (version 4)\n\n\
+         ## File format (version 5)\n\n\
          All integers are little-endian. One file per `(workload, scale)`, \
          named `<workload>-<scale>.cbwstrace`.\n\n\
          | section | field | size | meaning |\n|---|---|---|---|\n\
          | header | magic | 8 | `CBWSTRCE` |\n\
-         | | version | 4 | format version (currently 4) |\n\
+         | | version | 4 | format version (currently 5) |\n\
          | | workload_hash | 8 | FNV-1a hash of the DSL sources that define \
          *this* workload (shared kernels + its suite's file + its name) |\n\
          | | scale | 1 | 0 = tiny, 1 = small, 2 = full, 3 = huge |\n\
@@ -323,9 +323,18 @@ fn trace_store(root: &Path) -> Result<String, String> {
          | frames | payloads | var | N concatenated `PackedTrace` payloads, \
          each decodable on its own (delta predictors reset per frame) |\n\
          | footer | frame table | N × 24 | per frame: byte length, event \
-         count, FNV-1a checksum of the payload |\n\
-         | trailer | totals | 24 | total events, frame count, FNV-1a of \
-         the footer |\n\n\
+         count, `cbws_trace::checksum` of the payload |\n\
+         | trailer | totals | 24 | total events, frame count, \
+         `cbws_trace::checksum` of the footer |\n\n\
+         `cbws_trace::checksum` reads the bytes as 8-byte little-endian \
+         words (the last one zero-padded), mixes each word, and chains \
+         them through one multiply and rotate per word from a seed that \
+         folds in the length. Each step is a bijection of its state, so \
+         any change confined to one aligned word — every single-bit flip \
+         — changes the checksum, and the word mix keeps two flips in \
+         neighbouring words from cancelling. It runs at about 0.26 \
+         ns/byte, several times faster than the byte-serial FNV-1a \
+         (≈ 1.7 ns/byte) that keys the files.\n\n\
          Each frame payload is a 9-word header (event/lane entry counts and \
          lane byte extents) followed by the tag lane (one byte per event: \
          variant + store/dep/taken flags) and four LEB128 varint operand \
@@ -394,8 +403,9 @@ fn trace_store(root: &Path) -> Result<String, String> {
          2 hashes per workload (the shared kernel helpers, the one suite \
          source file the workload lives in, and its name), so editing one \
          suite regenerates only that suite's traces; version 3 changed the \
-         PC lane encoding; version 4 framed the payload, so older stores \
-         regenerate wholesale on first use. Every open of an existing \
+         PC lane encoding; version 4 framed the payload; version 5 signs \
+         frames and footer with the word-at-a-time checksum instead of \
+         FNV-1a. Older stores regenerate wholesale on first use. Every open of an existing \
          file checks each frame (checksum, payload parse, event count) \
          before handing out the handle — a streamed file through the \
          read-ahead, a few frames resident at a time — so a corrupt frame \
@@ -432,7 +442,7 @@ fn result_store(root: &Path) -> Result<String, String> {
          changed serves every job from disk and skips both trace loading \
          and simulation. An interrupted sweep resumes with `--resume`, \
          simulating only the jobs the killed run never finished.\n\n\
-         ## Keying and the file format (version 2)\n\n\
+         ## Keying and the file format (version 3)\n\n\
          One little-endian file per `(workload, scale, prefetcher, \
          config)`, named \
          `<workload>-<scale>-<prefetcher>-<config hash>.cbwsresult` under \
@@ -452,7 +462,8 @@ fn result_store(root: &Path) -> Result<String, String> {
          | simulator version hash | any simulation source file changes |\n\
          | scale | the trace length changes |\n\n\
          The payload is the `RunRecord` in a fixed little-endian layout, \
-         guarded by an FNV-1a checksum: the `memory_intensive` byte, \
+         guarded by the trace store's word-at-a-time checksum \
+         (`cbws_trace::checksum`): the `memory_intensive` byte, \
          `CpuStats`' 6 and `MemStats`' 17 counters as `u64` in declaration \
          order, then the workload and prefetcher names, each after a `u16` \
          length. An entry is about 240 bytes (version 1 stored the record \
@@ -465,7 +476,8 @@ fn result_store(root: &Path) -> Result<String, String> {
          it, and re-simulates; property tests in \
          `result_store_properties.rs` exercise exactly this. An entry of \
          another format version reads the same way, so a version-1 store \
-         is re-simulated once. Writes are atomic (temp file + rename), so \
+         (JSON) or version-2 store (FNV-1a payload checksum) is \
+         re-simulated once. Writes are atomic (temp file + rename), so \
          a killed run never leaves a torn entry.\n\n\
          ## Byte budget\n\n\
          `CBWS_RESULT_CACHE_BYTES` bounds the store on disk (default \

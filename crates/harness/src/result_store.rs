@@ -30,14 +30,14 @@
 //! entry is then invalidated and regenerated on next access. Entries are
 //! **content-addressed** by that key, not trusted by mtime or file name.
 //!
-//! # File format (version 2, little-endian)
+//! # File format (version 3, little-endian)
 //!
 //! | field | size | contents |
 //! |---|---|---|
 //! | magic | 8 | `b"CBWSRSLT"` |
-//! | format version | 4 | `u32`, currently 2 |
+//! | format version | 4 | `u32`, currently 3 |
 //! | key hash | 8 | FNV-1a key described above |
-//! | payload checksum | 8 | FNV-1a of the payload bytes |
+//! | payload checksum | 8 | [`checksum`] of the payload bytes |
 //! | payload length | 8 | `u64` |
 //! | payload | var | the [`RunRecord`], laid out below |
 //!
@@ -99,7 +99,7 @@ use cbws_workloads::trace_store::store_file::{
     self, fnv1a_fold, fnv1a_fold_named, invalid, scale_code, write_atomic, LoadError, Sinks,
     FNV_BASIS, PREFIX_LEN,
 };
-use cbws_workloads::trace_store::{fnv1a, workload_hash};
+use cbws_workloads::trace_store::{checksum, workload_hash};
 use cbws_workloads::{Scale, WorkloadSpec};
 use std::fs::File;
 use std::io::Read as _;
@@ -110,8 +110,10 @@ use std::time::Instant;
 /// Magic bytes opening every result-store file.
 pub const MAGIC: &[u8; 8] = b"CBWSRSLT";
 
-/// Current file-format version.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current file-format version. Version 2 replaced the JSON record with
+/// the fixed layout above; version 3 signs it with the word-at-a-time
+/// [`checksum`] instead of byte-serial FNV-1a.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Environment variable selecting the store directory.
 pub const DIR_ENV: &str = "CBWS_RESULT_STORE_DIR";
@@ -497,7 +499,7 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord,
     let Some((header, payload)) = bytes.split_at_checked(HEADER_LEN) else {
         return invalid("truncated header");
     };
-    let checksum = u64::from_le_bytes(header[PREFIX_LEN..PREFIX_LEN + 8].try_into().unwrap());
+    let stored = u64::from_le_bytes(header[PREFIX_LEN..PREFIX_LEN + 8].try_into().unwrap());
     let payload_len = u64::from_le_bytes(header[PREFIX_LEN + 8..].try_into().unwrap());
     if u64::try_from(payload.len()) != Ok(payload_len) {
         return invalid(format!(
@@ -505,10 +507,10 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord,
             payload.len()
         ));
     }
-    let got = fnv1a(payload);
-    if got != checksum {
+    let got = checksum(payload);
+    if got != stored {
         return invalid(format!(
-            "payload checksum {got:#018x} != stored {checksum:#018x}"
+            "payload checksum {got:#018x} != stored {stored:#018x}"
         ));
     }
     match decode_record(payload, key.workload, key.kind.name()) {
@@ -517,7 +519,7 @@ fn load_file(path: &Path, want_hash: u64, key: &ResultKey) -> Result<(RunRecord,
     }
 }
 
-/// Serializes a record into the version-2 file bytes for `key_hash`. A
+/// Serializes a record into the current file bytes for `key_hash`. A
 /// name longer than its `u16` length field can say is an error.
 fn encode_file(key_hash: u64, record: &RunRecord) -> std::io::Result<Vec<u8>> {
     let RunRecord {
@@ -549,8 +551,8 @@ fn encode_file(key_hash: u64, record: &RunRecord) -> std::io::Result<Vec<u8>> {
         out.extend_from_slice(&name_len.to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    let checksum = fnv1a(&out[HEADER_LEN..]);
-    out[PREFIX_LEN..PREFIX_LEN + 8].copy_from_slice(&checksum.to_le_bytes());
+    let signed = checksum(&out[HEADER_LEN..]);
+    out[PREFIX_LEN..PREFIX_LEN + 8].copy_from_slice(&signed.to_le_bytes());
     Ok(out)
 }
 
@@ -1231,57 +1233,66 @@ mod tests {
         assert_eq!(names, 30 * 12 * 4);
     }
 
-    /// An entry in the version-1 layout (the record as JSON) reads as
-    /// version skew: the engine discards it, re-simulates, and rewrites it
-    /// in the current layout.
+    /// Entries in older layouts read as version skew: the engine discards
+    /// each, re-simulates once, and rewrites it in the current layout.
+    /// Version 1 held the record as JSON; version 2 held today's layout
+    /// under a byte-serial FNV-1a checksum.
     #[test]
-    fn version_1_entry_is_resimulated_and_rewritten() {
+    fn older_entries_are_resimulated_and_rewritten() {
         use crate::engine::{Engine, EngineConfig, ResultCache};
         use std::sync::Arc;
 
-        let dir = scratch_dir("v1");
         let w = by_name("nw").unwrap();
         let kind = PrefetcherKind::Sms;
         let key = ResultKey::new(w, Scale::Tiny, kind, &SystemConfig::default());
         let fresh = simulate(w, kind);
+        let entry = |version: u32, payload: &[u8]| {
+            let mut out = Vec::new();
+            store_file::push_prefix(&mut out, MAGIC, version, key.hash(0));
+            out.extend_from_slice(&fnv1a_fold(FNV_BASIS, payload).to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            out
+        };
         let json = serde_json::to_string(&fresh).unwrap().into_bytes();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&key.hash(0).to_le_bytes());
-        v1.extend_from_slice(&fnv1a(&json).to_le_bytes());
-        v1.extend_from_slice(&(json.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&json);
-        let store = Arc::new(ResultStore::at(&dir));
-        let path = store.path_for(&key);
-        write_atomic(&path, &v1).unwrap();
+        let current = encode_file(key.hash(0), &fresh).unwrap();
+        let v1 = entry(1, &json);
+        let v2 = entry(2, &current[HEADER_LEN..]);
 
-        match load_file(&path, key.hash(0), &key) {
-            Err(LoadError::Invalid(reason)) => {
-                assert!(reason.starts_with("format version 1,"), "{reason}")
+        for (version, old) in [(1, v1), (2, v2)] {
+            let dir = scratch_dir(&format!("v{version}"));
+            let store = Arc::new(ResultStore::at(&dir));
+            let path = store.path_for(&key);
+            write_atomic(&path, &old).unwrap();
+
+            match load_file(&path, key.hash(0), &key) {
+                Err(LoadError::Invalid(reason)) => {
+                    assert!(
+                        reason.starts_with(&format!("format version {version},")),
+                        "{reason}"
+                    )
+                }
+                Err(LoadError::Missing) => panic!("the version-{version} entry was not found"),
+                Ok(_) => panic!("a version-{version} entry was served"),
             }
-            Err(LoadError::Missing) => panic!("the version-1 entry was not found"),
-            Ok(_) => panic!("a version-1 entry was served"),
+
+            // The engine routes the store's counters to its own sink.
+            let telemetry = Telemetry::enabled_default();
+            let run = Engine::new(EngineConfig {
+                jobs: 1,
+                telemetry: telemetry.clone(),
+                result_cache: ResultCache::At(store.clone()),
+                ..EngineConfig::default()
+            })
+            .run(Scale::Tiny, &[w], &[kind]);
+            assert_eq!(run.records, vec![fresh.clone()]);
+            assert_eq!(run.store_misses(), 1);
+            assert_eq!(counter(&telemetry, "result_store.invalidate"), 1);
+            assert_eq!(counter(&telemetry, "result_store.write"), 1);
+
+            assert_eq!(std::fs::read(&path).unwrap(), current);
+            assert_eq!(store.get(&key), Some(fresh.clone()));
+            let _ = std::fs::remove_dir_all(&dir);
         }
-
-        // The engine routes the store's counters to its own sink.
-        let telemetry = Telemetry::enabled_default();
-        let run = Engine::new(EngineConfig {
-            jobs: 1,
-            telemetry: telemetry.clone(),
-            result_cache: ResultCache::At(store.clone()),
-            ..EngineConfig::default()
-        })
-        .run(Scale::Tiny, &[w], &[kind]);
-        assert_eq!(run.records, vec![fresh.clone()]);
-        assert_eq!(run.store_misses(), 1);
-        assert_eq!(counter(&telemetry, "result_store.invalidate"), 1);
-        assert_eq!(counter(&telemetry, "result_store.write"), 1);
-
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(rewritten[8..12], FORMAT_VERSION.to_le_bytes());
-        assert!(rewritten.len() < v1.len() / 2, "{} bytes", rewritten.len());
-        assert_eq!(store.get(&key), Some(fresh));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,7 @@ use cbws_sim_cpu::CpuStats;
 use cbws_sim_mem::MemStats;
 use cbws_stats::RunRecord;
 use cbws_telemetry::Telemetry;
-use cbws_workloads::trace_store::fnv1a;
+use cbws_workloads::trace_store::checksum;
 use cbws_workloads::{by_name, Scale, WorkloadSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -78,7 +78,7 @@ fn valid_entry() -> &'static (ResultKey, Vec<u8>) {
 fn reframed(payload: &[u8]) -> Vec<u8> {
     let (_, entry) = valid_entry();
     let mut out = entry[..20].to_vec();
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
     out
@@ -130,6 +130,14 @@ fn valid_entry_is_served() {
     );
     assert_eq!(invalidations, 0);
     assert!(survived);
+}
+
+/// Re-signing the valid payload reproduces the valid entry, so the cases
+/// built with [`reframed`] pass the checksum and reach the decoder.
+#[test]
+fn reframing_signs_like_the_store() {
+    let (_, entry) = valid_entry();
+    assert_eq!(&reframed(&entry[HEADER_LEN..]), entry);
 }
 
 #[test]

@@ -43,8 +43,8 @@ pub use addr::{Addr, BlockId, LineAddr, Pc, LINE_BYTES, LINE_SHIFT};
 pub use builder::{BuildError, TraceBuilder};
 pub use event::{BranchRecord, Dependence, MemAccess, MemKind, TraceEvent};
 pub use packed::{
-    fnv1a, EventCursor, EventRef, EventSource, FrameCursor, FrameEncoder, FrameEntry, FrameError,
-    FramedTrace, PackedError, PackedTrace, SliceCursor, StreamObserver, StreamStats,
+    checksum, EventCursor, EventRef, EventSource, FrameCursor, FrameEncoder, FrameEntry,
+    FrameError, FramedTrace, PackedError, PackedTrace, SliceCursor, StreamObserver, StreamStats,
 };
 pub use stats::TraceStats;
 

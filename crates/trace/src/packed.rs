@@ -33,7 +33,7 @@
 //! A [`FramedTrace`] is a sequence of such payloads — **frames**, each
 //! decodable on its own because the delta predictors reset at every frame
 //! boundary — described by a table of [`FrameEntry`]s (offset, length,
-//! event count, [`fnv1a`] checksum). This is the on-disk layout of the
+//! event count, [`checksum`]). This is the on-disk layout of the
 //! persistent trace store (`cbws-workloads::trace_store`). Where the frame
 //! bytes come from is the trace's only variable:
 //!
@@ -850,23 +850,47 @@ impl<'s> Assembler<'s> {
     }
 }
 
-/// FNV-1a over a byte slice — the per-frame checksum the trace store
-/// records in a framed file's footer, [`FramedTrace::verify`] checks, and
-/// a streamed [`FrameCursor`] re-checks while replaying.
+/// The integrity checksum of stored bytes: the per-frame checksum the
+/// trace store records in a framed file's footer, [`FramedTrace::verify`]
+/// checks, and a streamed [`FrameCursor`] re-checks while replaying; the
+/// store also signs its footer with it, and the result store its payloads.
 ///
-/// Lives here (rather than only in the store) so the writer and the
+/// It reads 8-byte little-endian words, the last one zero-padded, and
+/// chains them as `h = ((h ^ mix(w)) * K).rotate_left(31)` from a seed
+/// that folds in the length, ending with `h ^ (h >> 32)`. `K` is odd, so
+/// each step is a bijection of `h`, as is the final fold: two inputs of
+/// one length that differ only inside one aligned word — every single-bit
+/// flip among them — always check differently. `mix` (an xorshift and a
+/// multiply) spreads a flipped bit over many; without it a flip of a
+/// word's top bit leaves `h` differing in one bit, which one flip in the
+/// next word undoes. `mix` is off the chain's dependency path, so a word
+/// costs one dependent multiply where FNV-1a pays one per byte. This is a
+/// check against corruption, not a key hash: the stores key with FNV-1a.
+///
+/// Lives here (rather than only in the stores) so the writers and the
 /// readers are guaranteed to agree on the algorithm.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    const M: u64 = 0xbf58_476d_1ce4_e5b9;
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    let mix = |w: u64| (w ^ (w >> 32)).wrapping_mul(M);
+    let step = |h: u64, w: u64| (h ^ mix(w)).wrapping_mul(K).rotate_left(31);
+    let mut h = (SEED ^ bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    h
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = step(h, u64::from_le_bytes(tail));
+    }
+    h ^ (h >> 32)
 }
 
 /// One frame's location and integrity record inside a framed trace
-/// (packed store format v4).
+/// (trace store format v5).
 ///
 /// A frame is a standalone [`PackedTrace`] payload covering a contiguous
 /// event range, with the delta predictors reset at the frame boundary so
@@ -881,7 +905,7 @@ pub struct FrameEntry {
     pub len: u64,
     /// Events encoded in the frame.
     pub events: u64,
-    /// [`fnv1a`] over the payload bytes.
+    /// [`checksum`] over the payload bytes.
     pub checksum: u64,
 }
 
@@ -892,7 +916,7 @@ impl FrameEntry {
             offset,
             len: frame.payload.len() as u64,
             events: frame.event_count() as u64,
-            checksum: fnv1a(&frame.payload),
+            checksum: checksum(&frame.payload),
         }
     }
 
@@ -916,7 +940,7 @@ pub enum FrameError {
         /// Index of the frame.
         frame: usize,
     },
-    /// The payload's FNV-1a checksum differs from the frame table's.
+    /// The payload's [`checksum`] differs from the frame table's.
     Checksum {
         /// Index of the frame.
         frame: usize,
@@ -1119,7 +1143,7 @@ impl FramedTrace {
     /// the read-ahead thread, so at most a few frames are resident.
     pub fn verify(&self) -> Result<(), FrameError> {
         let check = |frame: usize, entry: &FrameEntry, bytes: &[u8]| {
-            let got = fnv1a(bytes);
+            let got = checksum(bytes);
             if got != entry.checksum {
                 return Err(FrameError::Checksum {
                     frame,
@@ -1305,7 +1329,7 @@ impl Streamed<'_> {
             )
         });
         assert_eq!(
-            fnv1a(&self.frame),
+            checksum(&self.frame),
             entry.checksum,
             "frame {i} of {} failed its checksum during replay (file modified?)",
             self.path.display()
@@ -1932,11 +1956,67 @@ mod tests {
         assert_eq!(events.as_slice(), trace.events());
     }
 
+    /// Pinned values: stored files carry these checksums, so a change to
+    /// [`checksum`] is a store format change and must bump both stores'
+    /// format versions.
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn checksum_matches_reference_vectors() {
+        let counting: Vec<u8> = (0..=255u8).collect();
+        for (bytes, want) in [
+            (&b""[..], 0xf7e2_7bea_df41_96a5u64),
+            (b"a", 0xf3ed_7c6f_46ec_d9c5),
+            (b"foobar", 0x0c6c_f4d7_35c8_a5dc),
+            (b"12345678", 0x74d3_9c47_d550_331d),
+            (b"123456789", 0x6ef3_e676_26c3_ff2d),
+            (&counting, 0x136d_7f21_fa1e_1302),
+        ] {
+            assert_eq!(checksum(bytes), want, "{bytes:?}");
+        }
+    }
+
+    /// Every single-bit flip of buffers of every length up to eight words,
+    /// so every tail length, changes the checksum.
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        for len in 0..=64usize {
+            let mut bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+            let clean = checksum(&bytes);
+            for bit in 0..len * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&bytes), clean, "length {len}, bit {bit}");
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// No two bit flips of a four-word buffer cancel. Without the word
+    /// mix, a flip of a word's top bit is undone by one flip in the next
+    /// word.
+    #[test]
+    fn checksum_catches_every_pair_of_bit_flips() {
+        let mut bytes: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let clean = checksum(&bytes);
+        let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+        for first in 0..256 {
+            flip(&mut bytes, first);
+            for second in first + 1..256 {
+                flip(&mut bytes, second);
+                assert_ne!(checksum(&bytes), clean, "bits {first} and {second}");
+                flip(&mut bytes, second);
+            }
+            flip(&mut bytes, first);
+        }
+    }
+
+    /// The length is part of the checksum: a trailing zero byte, which
+    /// the zero-padded tail word alone would not see, changes it.
+    #[test]
+    fn checksum_sees_an_appended_zero_byte() {
+        for len in 0..=64usize {
+            let mut bytes = vec![0u8; len];
+            let shorter = checksum(&bytes);
+            bytes.push(0);
+            assert_ne!(checksum(&bytes), shorter, "length {len}");
+        }
     }
 }

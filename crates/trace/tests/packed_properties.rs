@@ -1,10 +1,11 @@
 //! Property tests for the packed columnar trace format: lossless
-//! round-tripping, cursor/slice iteration equivalence, and robustness of
-//! the payload parser against arbitrary and mutated byte buffers.
+//! round-tripping, cursor/slice iteration equivalence, robustness of the
+//! payload parser against arbitrary and mutated byte buffers, and the
+//! stored-byte checksum's detection of any change within one word.
 
 use cbws_trace::{
-    Addr, BlockId, BranchRecord, Dependence, EventCursor, FrameEntry, FramedTrace, MemAccess,
-    MemKind, PackedTrace, Pc, Trace, TraceEvent,
+    checksum, Addr, BlockId, BranchRecord, Dependence, EventCursor, FrameEntry, FramedTrace,
+    MemAccess, MemKind, PackedTrace, Pc, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -185,9 +186,29 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// XORing any non-zero word into one aligned word of a frame-sized
+    /// buffer always changes its checksum: a step is a bijection of its
+    /// word for a fixed state and of the state for a fixed word, and the
+    /// final fold is a bijection too.
+    #[test]
+    fn checksum_catches_any_change_within_one_word(
+        words in proptest::collection::vec(any::<u64>(), 512..32_768),
+        trim in 0usize..8,
+        at in any::<usize>(),
+        delta in 1u64..u64::MAX,
+    ) {
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.truncate(bytes.len() - trim);
+        let clean = checksum(&bytes);
+        let word = at % (bytes.len() / 8) * 8;
+        let changed = u64::from_le_bytes(bytes[word..word + 8].try_into().unwrap()) ^ delta;
+        bytes[word..word + 8].copy_from_slice(&changed.to_le_bytes());
+        prop_assert!(checksum(&bytes) != clean, "word at byte {}", word);
+    }
+
     /// Flipping any single bit of any frame payload on disk is caught
-    /// during streamed replay: the per-frame FNV-1a checksum changes under
-    /// any one-byte mutation (every fold step is bijective), so the
+    /// during streamed replay: the per-frame checksum changes under any
+    /// change confined to one aligned word (every step is bijective), so the
     /// read-ahead cursor panics instead of silently replaying corrupt
     /// events. The trace store turns the same detection at open
     /// (`FramedTrace::verify`) into invalidate-and-regenerate; see the

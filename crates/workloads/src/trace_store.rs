@@ -44,22 +44,22 @@
 //! store directory is unwritable the writer emits the same file layout
 //! into heap memory instead, and the handle is resident over that buffer.
 //!
-//! # File format (version 4, little-endian)
+//! # File format (version 5, little-endian)
 //!
 //! | section | field | size | contents |
 //! |---|---|---|---|
 //! | header | magic | 8 | `b"CBWSTRCE"` |
-//! | | format version | 4 | `u32`, currently 4 |
+//! | | format version | 4 | `u32`, currently 5 |
 //! | | workload hash | 8 | FNV-1a over the sources this workload's trace depends on ([`workload_hash`]) |
 //! | | scale | 1 | 0 = tiny, 1 = small, 2 = full, 3 = huge |
 //! | | name length | 2 | `u16` |
 //! | | name | var | workload name, UTF-8 |
 //! | | frame events | 4 | `u32`, events per frame the writer used (informational) |
 //! | frames | payloads | var | N concatenated [`PackedTrace::payload`] blobs, each decodable on its own (delta predictors reset per frame) |
-//! | footer | per frame | N × 24 | `len: u64`, `events: u64`, FNV-1a checksum of the frame payload |
+//! | footer | per frame | N × 24 | `len: u64`, `events: u64`, [`checksum`] of the frame payload |
 //! | trailer | total events | 8 | `u64` |
 //! | | frame count | 8 | `u64` |
-//! | | footer checksum | 8 | FNV-1a of the footer bytes |
+//! | | footer checksum | 8 | [`checksum`] of the footer bytes |
 //!
 //! The fixed-size trailer at EOF locates the footer, so the writer never
 //! needs to know the frame count up front and readers find every frame
@@ -107,16 +107,18 @@ use std::time::Instant;
 use store_file::{invalid, scale_code, LoadError, Sinks, PREFIX_LEN};
 
 pub use crate::source_hash::workload_hash;
-pub use cbws_trace::fnv1a;
+pub use cbws_trace::checksum;
 
 /// Magic bytes opening every trace-store file.
 pub const MAGIC: &[u8; 8] = b"CBWSTRCE";
 
 /// Current file-format version. Version 4 replaced the single monolithic
 /// payload (+ per-column checksums) with framed payloads, a frame footer,
-/// and a fixed trailer, enabling streamed writes and streamed replay; v3
-/// files no longer parse and are regenerated.
-pub const FORMAT_VERSION: u32 = 4;
+/// and a fixed trailer, enabling streamed writes and streamed replay.
+/// Version 5 keeps that layout but signs frames and footer with the
+/// word-at-a-time [`checksum`] instead of byte-serial FNV-1a. Files of any
+/// other version read as version skew and are regenerated.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Environment variable selecting the store directory.
 pub const DIR_ENV: &str = "CBWS_TRACE_STORE_DIR";
@@ -286,7 +288,7 @@ fn read_meta(
     }
     let total_events = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
     let frame_count = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
-    let footer_fnv = u64::from_le_bytes(trailer[16..24].try_into().unwrap());
+    let footer_checksum = u64::from_le_bytes(trailer[16..24].try_into().unwrap());
     // The trailer is outside the footer checksum, so its frame count is
     // untrusted: the footer size is a checked product, compared against
     // the bytes actually between header and trailer with no addition that
@@ -306,7 +308,7 @@ fn read_meta(
     if f.seek(SeekFrom::Start(footer_start)).is_err() || f.read_exact(&mut footer).is_err() {
         return invalid("unreadable footer");
     }
-    if fnv1a(&footer) != footer_fnv {
+    if checksum(&footer) != footer_checksum {
         return invalid("footer checksum mismatch");
     }
     let mut entries = Vec::with_capacity(frame_count as usize);
@@ -697,10 +699,10 @@ impl TraceStore {
             tail.extend_from_slice(&e.events.to_le_bytes());
             tail.extend_from_slice(&e.checksum.to_le_bytes());
         }
-        let footer_fnv = fnv1a(&tail);
+        let footer_checksum = checksum(&tail);
         tail.extend_from_slice(&total.to_le_bytes());
         tail.extend_from_slice(&(sink.entries.len() as u64).to_le_bytes());
-        tail.extend_from_slice(&footer_fnv.to_le_bytes());
+        tail.extend_from_slice(&footer_checksum.to_le_bytes());
         sink.write(&tail)?;
         let meta = FileMeta {
             entries: sink.entries,
@@ -1245,23 +1247,23 @@ mod tests {
     /// streamed: each open must reject it, and the resident one must make
     /// no allocation larger than the file. Every `sample`-th case also
     /// goes through a fresh store's `get`, which must count one
-    /// invalidation and serve the regenerated trace.
+    /// invalidation and serve the regenerated trace. Returns the resident
+    /// open's reason.
     fn assert_rejected(
         store: &TraceStore,
         w: &'static WorkloadSpec,
         bytes: &[u8],
         sample: bool,
         what: &str,
-    ) {
+    ) -> String {
         let path = store.path_for(w.name, Scale::Tiny);
         std::fs::write(&path, bytes).unwrap();
         let hash = workload_hash(w);
         let (resident, largest) =
             probe::largest_allocation(|| store.load(&path, hash, w.name, Scale::Tiny, u64::MAX));
-        assert!(
-            matches!(resident, Err(LoadError::Invalid(_))),
-            "{what}: resident open did not reject the file"
-        );
+        let Err(LoadError::Invalid(reason)) = resident else {
+            panic!("{what}: resident open did not reject the file");
+        };
         assert!(
             largest <= bytes.len() + ALLOC_SLACK,
             "{what}: a {largest}-byte allocation for a {}-byte file",
@@ -1281,6 +1283,7 @@ mod tests {
             assert_eq!(counter(&telemetry, "trace_store.hit"), 0, "{what}");
             assert_eq!(served, w.generate(Scale::Tiny), "{what}");
         }
+        reason
     }
 
     #[test]
@@ -1293,8 +1296,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A file as format version 4 wrote it: these frames, footer and
+    /// trailer, signed with byte-serial FNV-1a. It reads as version skew,
+    /// counts one invalidation and is rebuilt in the current format.
+    #[test]
+    fn version_4_file_is_regenerated() {
+        let (dir, store, w, pristine) = damage_fixture("v4");
+        let fnv = |bytes: &[u8]| store_file::fnv1a_fold(store_file::FNV_BASIS, bytes);
+        let n = pristine.len();
+        let frames = store.get(w, Scale::Tiny).frames().to_vec();
+        let footer = n - TRAILER_LEN as usize - frames.len() * FOOTER_ENTRY_LEN as usize;
+        let mut v4 = pristine.clone();
+        v4[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
+        for (i, e) in frames.iter().enumerate() {
+            let at = footer + i * FOOTER_ENTRY_LEN as usize + 16;
+            let signed = fnv(&pristine[e.offset as usize..(e.offset + e.len) as usize]);
+            v4[at..at + 8].copy_from_slice(&signed.to_le_bytes());
+        }
+        let signed = fnv(&v4[footer..n - TRAILER_LEN as usize]);
+        v4[n - 8..].copy_from_slice(&signed.to_le_bytes());
+
+        let path = store.path_for(w.name, Scale::Tiny);
+        std::fs::write(&path, &v4).unwrap();
+        match store.load(&path, workload_hash(w), w.name, Scale::Tiny, u64::MAX) {
+            Err(LoadError::Invalid(reason)) => {
+                assert!(reason.starts_with("format version 4,"), "{reason}")
+            }
+            Err(LoadError::Missing) => panic!("the version-4 file was not found"),
+            Ok(_) => panic!("a version-4 file was served"),
+        }
+        let telemetry = Telemetry::enabled_default();
+        let fresh = TraceStore::at(&dir).with_frame_events(64);
+        fresh.set_telemetry(telemetry.clone());
+        assert_eq!(
+            fresh.get(w, Scale::Tiny).to_trace(),
+            w.generate(Scale::Tiny)
+        );
+        assert_eq!(counter(&telemetry, "trace_store.invalidate"), 1);
+        assert_eq!(counter(&telemetry, "trace_store.write"), 1);
+        assert_eq!(std::fs::read(&path).unwrap(), pristine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Footer entries whose `len` or `events` lie, under a recomputed
-    /// footer checksum, so only the bounds and cross checks stand between
+    /// footer [`checksum`], so only the bounds and cross checks stand between
     /// the lie and replay. Some lies are compensated (a neighbour's `len`,
     /// the trailer's total) so that the later checks must catch them.
     #[test]
@@ -1313,8 +1358,8 @@ mod tests {
             for &(at, value) in edits {
                 bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
             }
-            let fnv = fnv1a(&bytes[footer..n - TRAILER_LEN as usize]);
-            bytes[n - 8..].copy_from_slice(&fnv.to_le_bytes());
+            let signed = checksum(&bytes[footer..n - TRAILER_LEN as usize]);
+            bytes[n - 8..].copy_from_slice(&signed.to_le_bytes());
             bytes
         };
         let total_at = n - TRAILER_LEN as usize;
@@ -1357,7 +1402,9 @@ mod tests {
             for (what, edits) in cases {
                 case += 1;
                 let what = format!("frame {i} of {frames}: {what}");
-                assert_rejected(&store, w, &lie(&edits), case.is_multiple_of(41), &what);
+                let reason =
+                    assert_rejected(&store, w, &lie(&edits), case.is_multiple_of(41), &what);
+                assert_ne!(reason, "footer checksum mismatch", "{what}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

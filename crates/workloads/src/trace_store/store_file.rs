@@ -21,9 +21,11 @@
 //!   miss.
 //!
 //! It also holds the pieces both stores key and configure with: the FNV-1a
-//! folds ([`fnv1a_fold`], [`fnv1a_fold_named`]), the scale's byte code ([`scale_code`]), the
-//! telemetry and span sinks ([`Sinks`]) and the directory lookup behind
-//! both `shared()` stores ([`store_dir`]).
+//! folds ([`fnv1a_fold`], [`fnv1a_fold_named`]), the scale's byte code
+//! ([`scale_code`]), the telemetry and span sinks ([`Sinks`]) and the
+//! directory lookup behind both `shared()` stores ([`store_dir`]). FNV-1a
+//! names a file; the bytes inside it are checked with
+//! [`cbws_trace::checksum`].
 
 use crate::Scale;
 use cbws_telemetry::{warn, Spans, Telemetry};
@@ -336,10 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_fold_from_the_basis_is_fnv1a() {
-        for bytes in [&b""[..], b"a", b"foobar"] {
-            assert_eq!(fnv1a_fold(FNV_BASIS, bytes), cbws_trace::fnv1a(bytes));
-        }
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a_fold(FNV_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_fold(FNV_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_fold(FNV_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
