@@ -14,26 +14,9 @@
 //! Exits non-zero if a cursor drain of any packed trace differs from the
 //! AoS events it was packed from.
 
+use cbws_bench::{arg_value, best_of, write_snapshot};
 use cbws_trace::{varint, EventCursor, EventSource, PackedTrace, Trace};
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
-use std::time::Instant;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Best-of-`iters` wall time of `f`, in seconds.
-fn best_of(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// The four varint operand lanes of a packed trace, with entry counts.
 fn operand_lanes(packed: &PackedTrace) -> Vec<(&'static str, &[u8], usize)> {
@@ -208,11 +191,5 @@ fn main() {
         total_entries as f64 / routed_secs / 1e6,
         total_events as f64 / drain_secs / 1e6
     );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_decode.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[decode_throughput] wrote {}", path.display()),
-        Err(e) => eprintln!("[decode_throughput] cannot write {}: {e}", path.display()),
-    }
-    print!("{json}");
+    write_snapshot("decode_throughput", "BENCH_decode.json", &json);
 }

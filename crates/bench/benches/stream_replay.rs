@@ -6,6 +6,7 @@
 //! streamed pass. Writes the measurements to `BENCH_stream.json` at the
 //! repository root.
 //!
+//! The two legs are timed in alternating pairs, best of `--iters` each.
 //! The streamed timing deliberately includes opening and validating the
 //! store file each iteration: that is the real cost a fresh process pays
 //! to replay a trace too big to keep resident, and it is the number the
@@ -22,13 +23,13 @@
 //! replay's — the replay representation must never change simulation
 //! output.
 
+use cbws_bench::{arg_value, time, write_snapshot};
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_telemetry::Telemetry;
 use cbws_workloads::trace_store::TraceStore;
 use cbws_workloads::{by_name, Scale, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -76,23 +77,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Best-of-`iters` wall time of `f`, in seconds.
-fn best_of(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,23 +139,27 @@ fn main() {
     }
     eprintln!("[stream_replay] determinism: streamed records identical to in-memory");
 
-    // Warm in-memory replay: frames already resident, pure simulate.
-    let memory_secs = best_of(iters, || {
-        for (w, t) in workloads.iter().zip(resident.iter()) {
-            std::hint::black_box(sim.run(w.name, true, &**t, kind));
-        }
-    });
-
-    // Streamed replay: a fresh store per iteration, so every pass pays
-    // open + footer validation + frame checksums, exactly like a fresh
-    // process replaying a trace it cannot afford to load.
-    let stream_secs = best_of(iters, || {
-        let store = TraceStore::at(&dir);
-        for w in &workloads {
-            let src = store.replay_source(w, scale, 0);
-            std::hint::black_box(sim.run(w.name, true, &src, kind));
-        }
-    });
+    // The two legs run in alternating pairs, each keeping its best of
+    // `iters`, so a drift in host speed lands on both sides of the ratio
+    // instead of on one. The in-memory leg replays resident frames: pure
+    // simulate. The streamed leg opens a fresh store each time, so every
+    // pass pays open + footer validation + frame checksums, exactly like a
+    // fresh process replaying a trace it cannot afford to load.
+    let (mut memory_secs, mut stream_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..iters {
+        memory_secs = memory_secs.min(time(|| {
+            for (w, t) in workloads.iter().zip(resident.iter()) {
+                std::hint::black_box(sim.run(w.name, true, &**t, kind));
+            }
+        }));
+        stream_secs = stream_secs.min(time(|| {
+            let store = TraceStore::at(&dir);
+            for w in &workloads {
+                let src = store.replay_source(w, scale, 0);
+                std::hint::black_box(sim.run(w.name, true, &src, kind));
+            }
+        }));
+    }
     let ratio = memory_secs / stream_secs;
     eprintln!(
         "[stream_replay] replay: memory {memory_secs:.4} s, streamed {stream_secs:.4} s \
@@ -230,11 +218,5 @@ fn main() {
          \"identical_records\": true\n}}\n",
         workloads.len(),
     );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_stream.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[stream_replay] wrote {}", path.display()),
-        Err(e) => eprintln!("[stream_replay] cannot write {}: {e}", path.display()),
-    }
-    print!("{json}");
+    write_snapshot("stream_replay", "BENCH_stream.json", &json);
 }

@@ -27,38 +27,34 @@
 //! so their timings keep the meaning they had before the result store
 //! existed. Unless `CBWS_TRACE_STORE_DIR` / `CBWS_RESULT_STORE_DIR` are
 //! already set, both stores are pointed at bench-owned scratch
-//! directories so cold runs can wipe them safely.
+//! directories (under the workspace's `target/`) so cold runs can wipe
+//! them safely.
 
+use cbws_bench::{arg_value, time, workspace_root, write_snapshot};
 use cbws_harness::engine::detect_parallelism;
-use cbws_harness::experiments::{sweep, sweep_engine_with};
-use cbws_harness::{result_store, ResultCache};
+use cbws_harness::experiments::sweep;
+use cbws_harness::{result_store, EngineRun, ResultCache, SweepSession, SweepSpec};
 use cbws_workloads::{trace_store, Scale, WorkloadSpec, ALL};
-use std::time::Instant;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The engine sweep of every workload × the paper's seven prefetchers,
+/// under result-store policy `result_cache`.
+fn engine_sweep(scale: Scale, jobs: usize, result_cache: ResultCache) -> EngineRun {
+    let session = SweepSession {
+        result_cache,
+        ..SweepSession::default()
+    };
+    let spec = SweepSpec::full_matrix(scale, jobs);
+    session.run("sweep_e2e", &spec, None).run
 }
 
 fn main() {
-    if std::env::var_os("CBWS_TRACE_STORE_DIR").is_none() {
-        std::env::set_var(
-            "CBWS_TRACE_STORE_DIR",
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/trace-store-bench"
-            ),
-        );
-    }
-    if std::env::var_os("CBWS_RESULT_STORE_DIR").is_none() {
-        std::env::set_var(
-            "CBWS_RESULT_STORE_DIR",
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/result-store-bench"
-            ),
-        );
+    for (var, dir) in [
+        ("CBWS_TRACE_STORE_DIR", "target/trace-store-bench"),
+        ("CBWS_RESULT_STORE_DIR", "target/result-store-bench"),
+    ] {
+        if std::env::var_os(var).is_none() {
+            std::env::set_var(var, workspace_root().join(dir));
+        }
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = match arg_value(&args, "--scale").as_deref() {
@@ -91,7 +87,7 @@ fn main() {
     for _ in 0..iters {
         let _ = std::fs::remove_dir_all(store.dir());
         store.drop_memory();
-        let run = sweep_engine_with(scale, &workloads, jobs, ResultCache::Off);
+        let run = engine_sweep(scale, jobs, ResultCache::Off);
         engine_secs = engine_secs.min(run.wall_seconds);
         workers = run.workers;
         engine_records = run.records;
@@ -111,12 +107,10 @@ fn main() {
     let mut warm_records = Vec::new();
     let mut warm_workers = Vec::new();
     for _ in 0..iters {
-        let t = Instant::now();
-        serial_records = sweep(scale, &workloads);
-        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
+        serial_secs = serial_secs.min(time(|| serial_records = sweep(scale, &workloads)));
 
         store.drop_memory();
-        let run = sweep_engine_with(scale, &workloads, jobs, ResultCache::Off);
+        let run = engine_sweep(scale, jobs, ResultCache::Off);
         if run.wall_seconds < warm_secs {
             warm_secs = run.wall_seconds;
             warm_workers = run.worker_stats;
@@ -132,7 +126,7 @@ fn main() {
     // state of `--resume` and of re-running an already-finished sweep.
     let rstore = result_store::shared();
     let _ = std::fs::remove_dir_all(rstore.dir());
-    let populate = sweep_engine_with(scale, &workloads, jobs, ResultCache::Shared);
+    let populate = engine_sweep(scale, jobs, ResultCache::Shared);
     assert_eq!(
         populate.store_misses(),
         populate.job_count,
@@ -143,7 +137,7 @@ fn main() {
     let mut cached_hits = 0;
     let mut cached_misses = 0;
     for _ in 0..iters {
-        let run = sweep_engine_with(scale, &workloads, jobs, ResultCache::Shared);
+        let run = engine_sweep(scale, jobs, ResultCache::Shared);
         assert_eq!(
             run.store_hits(),
             run.job_count,
@@ -216,11 +210,5 @@ fn main() {
         workloads.len(),
         workers_detail.join(",\n")
     );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_sweep.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[sweep_e2e] wrote {}", path.display()),
-        Err(e) => eprintln!("[sweep_e2e] cannot write {}: {e}", path.display()),
-    }
-    print!("{json}");
+    write_snapshot("sweep_e2e", "BENCH_sweep.json", &json);
 }

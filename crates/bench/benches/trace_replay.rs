@@ -28,27 +28,10 @@
 //! Exits non-zero if the packed replay's records diverge from the AoS
 //! replay's — representation must never change simulation output.
 
+use cbws_bench::{arg_value, best_of, write_snapshot};
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_workloads::trace_store::TraceStore;
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
-use std::time::Instant;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Best-of-`iters` wall time of `f`, in seconds.
-fn best_of(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -163,11 +146,5 @@ fn main() {
         aos_e2e_secs / packed_secs,
         cold_secs / warm_secs
     );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_trace.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[trace_replay] wrote {}", path.display()),
-        Err(e) => eprintln!("[trace_replay] cannot write {}: {e}", path.display()),
-    }
-    print!("{json}");
+    write_snapshot("trace_replay", "BENCH_trace.json", &json);
 }

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! `record` appends each `BENCH_*.json` snapshot (default: every
-//! `perf_history::SNAPSHOT_FILES` entry present at the repository root) to
+//! `perf_history::SNAPSHOT_FILES` entry present at the root of the workspace
+//! the current directory is in) to
 //! `results/perf-history/<bench>.jsonl`, stamped with the current git
 //! revision and timestamp. `trends` prints the rolling mean/stddev of every
 //! metric against the latest run. `check` exits non-zero when a hard-gated
@@ -25,7 +26,8 @@ use cbws_bench::perf_history::{
     self, append, benches_in, check, check_gates, git_rev, load, load_snapshot, snapshot_paths,
     trends, unix_time_now, DEFAULT_K,
 };
-use std::path::{Path, PathBuf};
+use cbws_bench::workspace_root;
+use std::path::PathBuf;
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -34,10 +36,6 @@ fn fail(msg: &str) -> ! {
          [--dir DIR] [--k K] [--warn-only] [FILE...]"
     );
     std::process::exit(2);
-}
-
-fn repo_root() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
 fn main() {
@@ -78,17 +76,18 @@ fn main() {
             other => fail(&format!("unknown flag `{other}`")),
         }
     }
-    let dir = dir.unwrap_or_else(|| repo_root().join("results/perf-history"));
+    let dir = dir.unwrap_or_else(|| workspace_root().join("results/perf-history"));
 
     match mode.unwrap_or_else(|| fail("missing subcommand")) {
         "record" => {
+            let root = workspace_root();
             if files.is_empty() {
-                files = snapshot_paths(repo_root());
+                files = snapshot_paths(&root);
                 if files.is_empty() {
                     fail("no BENCH_*.json snapshots at the repository root and no FILE given");
                 }
             }
-            let rev = git_rev(repo_root());
+            let rev = git_rev(&root);
             let now = unix_time_now();
             for file in &files {
                 let record = load_snapshot(file, &rev, now).unwrap_or_else(|e| fail(&e));

@@ -240,14 +240,7 @@ fn reproducing() -> String {
          cargo run --release -p cbws-harness --bin fig14_speedup -- --scale small\n\
          ```\n\n\
          ## Flags every binary accepts\n\n\
-         | flag | effect |\n|---|---|\n\
-         | `--scale tiny\\|small\\|full\\|huge` | trace length per workload (default `full`; `huge` is 12× full and replays through the [trace store](trace-store.md)'s streaming path; the committed artifacts record their scale in `results/*.manifest.json`) |\n\
-         | `--jobs N` | worker threads for the work-stealing sweep engine; `0` or absent = all cores |\n\
-         | `--quiet` | suppress console tables (CSVs, SVGs, and manifests are still written) |\n\
-         | `--progress` | verbose per-phase and heartbeat logging |\n\
-         | `--resume` | report how many jobs an interrupted sweep left behind; only those are simulated (the rest come from the [result store](result-store.md)) |\n\
-         | `--no-result-cache` | turn the persistent result store off for this run (every job simulates) |\n\
-         | `--metrics-out F` | JSON metrics dump (see below) |\n\n\
+         {}\n\
          ## Environment\n\n\
          | variable | effect |\n|---|---|\n\
          | `CBWS_TRACE_STORE_DIR` | directory of the persistent on-disk \
@@ -287,8 +280,20 @@ fn reproducing() -> String {
          `simulate` at small). Tiny \
          runs complete in seconds and are used by the test suite; full \
          reproduces the numbers quoted in [the scorecard](scorecard.md).\n",
-        pages::GENERATED_BANNER
+        pages::GENERATED_BANNER,
+        common_flags_table()
     )
+}
+
+/// The "Flags every binary accepts" table, rendered from the harness's flag
+/// table (`cbws_harness::cli`), so the page cannot drift from the parser.
+fn common_flags_table() -> String {
+    let mut md = String::from("| flag | effect |\n|---|---|\n");
+    for f in cbws_harness::cli::flags_of(cbws_harness::cli::COMMON) {
+        let synopsis = f.synopsis().replace('|', "\\|");
+        md.push_str(&format!("| `{synopsis}` | {} |\n", f.help));
+    }
+    md
 }
 
 fn trace_store(root: &Path) -> Result<String, String> {

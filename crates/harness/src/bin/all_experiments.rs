@@ -3,25 +3,24 @@
 //! figures go to `results/`, each with a `.manifest.json` describing the
 //! run that produced it.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin all_experiments
-//! [--scale tiny|small|full] [--jobs N] [--resume] [--no-result-cache]
-//! [--quiet|--progress]`
+//! Usage: `cargo run --release -p cbws-harness --bin all_experiments -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
 
+use cbws_harness::cli::{Cli, COMMON};
 use cbws_harness::experiments::{
     fig01_loop_fraction, fig03_stencil_cbws, fig05_differential_skew, fig05_svg, fig12_mpki,
     fig12_svg, fig13_svg, fig13_timeliness, fig14_speedup, fig14_svg, fig15_perf_cost, fig15_svg,
-    jobs_from_args, phase_report, save_csv, save_svg, scale_from_args, session_spans, sweep_engine,
-    tab02_parameters, tab03_storage, write_session_spans,
+    phase_report, save_csv, save_svg, tab02_parameters, tab03_storage,
 };
-use cbws_harness::{PrefetcherKind, RunManifest, SystemConfig};
+use cbws_harness::{PrefetcherKind, SystemConfig};
 use cbws_telemetry::{detail, result, status};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Runs one top-level step of the run inside a `phase.<name>` span and
 /// records its wall-clock seconds under `name` in `steps`.
-fn step<R>(steps: &mut BTreeMap<String, f64>, name: &str, f: impl FnOnce() -> R) -> R {
-    let _span = session_spans().begin(&format!("phase.{name}"));
+fn step<R>(cli: &Cli, steps: &mut BTreeMap<String, f64>, name: &str, f: impl FnOnce() -> R) -> R {
+    let _span = cli.session().spans.begin(&format!("phase.{name}"));
     let start = Instant::now();
     let out = f();
     steps.insert(name.to_string(), start.elapsed().as_secs_f64());
@@ -29,14 +28,13 @@ fn step<R>(steps: &mut BTreeMap<String, f64>, name: &str, f: impl FnOnce() -> R)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
+    let cli = Cli::parse("all_experiments", COMMON);
+    let scale = cli.scale;
     status!("[all] scale = {scale}");
     let cfg = SystemConfig::default();
     let mut steps = BTreeMap::new();
 
-    step(&mut steps, "static_tables", || {
+    step(&cli, &mut steps, "static_tables", || {
         let tab02 = tab02_parameters(&cfg);
         result!("Table II — simulation parameters\n\n{tab02}");
         save_csv("tab02_parameters", &tab02);
@@ -49,7 +47,7 @@ fn main() {
         result!("{}", fig03_stencil_cbws(8));
     });
 
-    step(&mut steps, "trace_analysis", || {
+    step(&cli, &mut steps, "trace_analysis", || {
         let fig01 = fig01_loop_fraction(scale);
         result!("Fig. 1 — runtime fraction in tight innermost loops\n\n{fig01}");
         save_csv("fig01_loop_fraction", &fig01);
@@ -61,13 +59,13 @@ fn main() {
     });
 
     // One engine sweep over all 30 benchmarks backs Figs. 12-15.
-    let all: Vec<_> = cbws_workloads::ALL.iter().collect();
-    let run = step(&mut steps, "sweep", || {
-        sweep_engine(scale, &all, jobs_from_args())
+    let all = cbws_workloads::ALL.iter().collect();
+    let out = step(&cli, &mut steps, "sweep", || {
+        cli.sweep(&cli.spec(all, PrefetcherKind::ALL))
     });
-    let records = &run.records;
+    let records = &out.run.records;
 
-    step(&mut steps, "figures", || {
+    step(&cli, &mut steps, "figures", || {
         let fig12 = fig12_mpki(records);
         result!("Fig. 12 — L2 MPKI (lower is better)\n\n{fig12}");
         save_csv("fig12_mpki", &fig12);
@@ -90,17 +88,10 @@ fn main() {
     });
 
     // The manifest's phases: the engine's job phases plus the four steps.
-    let mut manifest = RunManifest::new(
-        "all_experiments",
-        scale,
-        all.iter().map(|w| w.name),
-        PrefetcherKind::ALL,
-        cfg,
-    )
-    .with_run(&run);
+    let mut manifest = out.manifest;
     manifest.phases.extend(steps);
     manifest.save("all_experiments");
-    write_session_spans();
+    cli.write_outputs();
 
     detail!("[all] phase timings:\n{}", phase_report(&manifest.phases));
     status!("[all] text tables above; CSVs and SVG figures in results/");

@@ -5,18 +5,15 @@
 //! wasteful prefetcher pays a *performance* price, not just a bandwidth
 //! one — a stress test for the CBWS+SMS result.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin dram_model
-//! [--scale tiny|small|full] [--jobs N] [--resume] [--no-result-cache]
-//! [--quiet|--progress]`
+//! Usage: `cargo run --release -p cbws-harness --bin dram_model -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
 
-use cbws_harness::experiments::{
-    get, jobs_from_args, result_cache_from_args, save_csv, scale_from_args, session_spans,
-    write_session_spans,
-};
-use cbws_harness::{Engine, EngineConfig, EngineRun, PrefetcherKind, RunManifest, SystemConfig};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::{get, save_csv};
+use cbws_harness::{PrefetcherKind, SweepSpec, SystemConfig};
 use cbws_sim_mem::DramConfig;
 use cbws_stats::{geomean, TextTable};
-use cbws_telemetry::{result, status, Telemetry};
+use cbws_telemetry::{result, status};
 use cbws_workloads::mi_suite;
 
 const KINDS: [PrefetcherKind; 3] = [
@@ -25,34 +22,21 @@ const KINDS: [PrefetcherKind; 3] = [
     PrefetcherKind::CbwsSms,
 ];
 
-fn run_suite(scale: cbws_workloads::Scale, cfg: SystemConfig, jobs: usize) -> EngineRun {
-    Engine::new(EngineConfig {
-        jobs,
-        system: cfg,
-        telemetry: Telemetry::disabled(),
-        spans: session_spans().clone(),
-        result_cache: result_cache_from_args(),
-        ..EngineConfig::default()
-    })
-    .run(scale, &mi_suite(), &KINDS)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    status!("[dram] scale = {scale}");
-
-    let flat_cfg = SystemConfig::default();
+    let cli = Cli::parse("dram_model", COMMON);
+    let flat_spec = cli.spec(mi_suite(), KINDS);
     let mut dram_cfg = SystemConfig::default();
     dram_cfg.mem.dram = Some(DramConfig::default());
+    let dram_spec = SweepSpec {
+        system: dram_cfg,
+        ..flat_spec.clone()
+    };
 
     status!("[dram] flat model...");
-    let flat_run = run_suite(scale, flat_cfg, jobs);
+    let flat_out = cli.sweep(&flat_spec);
     status!("[dram] banked DRAM model...");
-    let dram_run = run_suite(scale, dram_cfg, jobs);
-    let (flat, dram) = (&flat_run.records, &dram_run.records);
+    let dram_out = cli.sweep(&dram_spec);
+    let (flat, dram) = (&flat_out.run.records, &dram_out.run.records);
 
     let mut table = TextTable::new(vec![
         "benchmark".into(),
@@ -80,16 +64,8 @@ fn main() {
 
     result!("Headline speedup under flat vs banked-DRAM memory\n\n{table}");
     save_csv("dram_model", &table);
-    let mut run = flat_run;
-    run.merge(dram_run);
-    write_session_spans();
-    RunManifest::new(
-        "dram_model",
-        scale,
-        mi_suite().iter().map(|w| w.name),
-        KINDS,
-        dram_cfg,
-    )
-    .with_run(&run)
-    .save("dram_model");
+    // One manifest for both runs, under the DRAM configuration.
+    let mut run = flat_out.run;
+    run.merge(dram_out.run);
+    dram_out.manifest.with_run(&run).save("dram_model");
 }

@@ -11,44 +11,24 @@
 //!   the ~640 KB storage point the paper contrasts against;
 //! * Markov (Joseph & Grunwald), pair-correlation prefetching.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin ext_comparison
-//! [--scale tiny|small|full] [--jobs N] [--resume] [--no-result-cache]
-//! [--quiet|--progress]`
+//! Usage: `cargo run --release -p cbws-harness --bin ext_comparison -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
 
-use cbws_harness::experiments::{
-    get, jobs_from_args, result_cache_from_args, save_csv, scale_from_args, session_spans,
-    write_session_spans,
-};
-use cbws_harness::{Engine, EngineConfig, PrefetcherKind, RunManifest, SystemConfig};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::{get, save_csv};
+use cbws_harness::{PrefetcherKind, SystemConfig};
 use cbws_stats::{geomean, TextTable};
-use cbws_telemetry::{result, status};
+use cbws_telemetry::result;
 use cbws_workloads::mi_suite;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
-    status!("[ext] scale = {scale}");
+    let cli = Cli::parse("ext_comparison", COMMON);
     let kinds: Vec<PrefetcherKind> = PrefetcherKind::ALL
         .into_iter()
         .chain(PrefetcherKind::EXTENDED)
         .collect();
-
-    let suite = mi_suite();
-    let engine = Engine::new(EngineConfig {
-        jobs: jobs_from_args(),
-        spans: session_spans().clone(),
-        result_cache: result_cache_from_args(),
-        ..EngineConfig::default()
-    });
-    let run = engine.run(scale, &suite, &kinds);
-    status!(
-        "[ext] {} jobs on {} workers in {:.2} s",
-        run.job_count,
-        run.workers,
-        run.wall_seconds
-    );
-    let records = &run.records;
+    let out = cli.sweep(&cli.spec(mi_suite(), kinds.iter().copied()));
+    let records = &out.run.records;
 
     let mut table = TextTable::new(
         std::iter::once("benchmark".to_string())
@@ -75,16 +55,7 @@ fn main() {
     result!("Extended comparison — IPC normalized to SMS (MI suite)\n");
     result!("{table}");
     save_csv("ext_comparison", &table);
-    write_session_spans();
-    RunManifest::new(
-        "ext_comparison",
-        scale,
-        suite.iter().map(|w| w.name),
-        kinds.iter().copied(),
-        SystemConfig::default(),
-    )
-    .with_run(&run)
-    .save("ext_comparison");
+    out.manifest.save("ext_comparison");
 
     // Storage context for the comparison.
     let cfg = SystemConfig::default();

@@ -2,19 +2,18 @@
 //! access matrix of the Parboil Stencil inner loop and its constant
 //! differential vectors.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin fig03_stencil_cbws
-//! [--jobs N]`
-//!
-//! `--jobs` is accepted for CLI uniformity but has no effect: this binary
-//! analyses a single tiny trace.
+//! Usage: `cargo run --release -p cbws-harness --bin fig03_stencil_cbws -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
+//! It analyses one fixed tiny trace, so `--scale` and `--jobs` change
+//! nothing here.
 
-use cbws_harness::experiments::{fig03_stencil_cbws, jobs_from_args};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::fig03_stencil_cbws;
 use cbws_telemetry::result;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let _ = jobs_from_args(); // validated for CLI uniformity; no sweep here
+    let cli = Cli::parse("fig03_stencil_cbws", COMMON);
     result!("Figs. 3 & 4 — Stencil CBWS vectors and differentials\n");
     result!("{}", fig03_stencil_cbws(8));
+    cli.write_outputs();
 }

@@ -1,25 +1,20 @@
 //! Regenerates **Fig. 5**: the skewed distribution of distinct CBWS
 //! differential vectors — how few vectors cover how many loop iterations.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin fig05_differential_skew
-//! [--scale tiny|small|full] [--jobs N] [--quiet|--progress]`
-//!
-//! `--jobs` is accepted for CLI uniformity but has no effect: this binary
-//! analyses traces without running simulation sweeps.
+//! Usage: `cargo run --release -p cbws-harness --bin fig05_differential_skew -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
+//! It analyses traces without a simulation sweep, so `--jobs` changes
+//! nothing here.
 
-use cbws_harness::experiments::{
-    fig05_differential_skew, jobs_from_args, save_csv, scale_from_args,
-};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::{fig05_differential_skew, save_csv};
 use cbws_harness::{PrefetcherKind, RunManifest, SystemConfig};
 use cbws_telemetry::{result, status};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
-    let _ = jobs_from_args(); // validated for CLI uniformity; no sweep here
-    status!("[fig05] scale = {scale}");
-    let table = fig05_differential_skew(scale);
+    let cli = Cli::parse("fig05_differential_skew", COMMON);
+    status!("[fig05] scale = {}", cli.scale);
+    let table = fig05_differential_skew(cli.scale);
     result!(
         "Fig. 5 — % of iterations covered by the most frequent X% of\n\
          distinct CBWS differential vectors\n"
@@ -28,10 +23,11 @@ fn main() {
     save_csv("fig05_differential_skew", &table);
     RunManifest::new(
         "fig05_differential_skew",
-        scale,
+        cli.scale,
         cbws_workloads::mi_suite().iter().map(|w| w.name),
         std::iter::empty::<PrefetcherKind>(),
         SystemConfig::default(),
     )
     .save("fig05_differential_skew");
+    cli.write_outputs();
 }

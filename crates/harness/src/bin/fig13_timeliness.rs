@@ -2,34 +2,20 @@
 //! (timely / shorter-waiting-time / non-timely / missing / wrong) for every
 //! prefetcher on the memory-intensive suite.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin fig13_timeliness
-//! [--scale tiny|small|full] [--jobs N] [--resume] [--no-result-cache]
-//! [--quiet|--progress]`
+//! Usage: `cargo run --release -p cbws-harness --bin fig13_timeliness -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
 
-use cbws_harness::experiments::{
-    fig13_timeliness, jobs_from_args, save_csv, scale_from_args, sweep_engine,
-};
-use cbws_harness::{PrefetcherKind, RunManifest, SystemConfig};
-use cbws_telemetry::{result, status};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::{fig13_timeliness, save_csv};
+use cbws_harness::PrefetcherKind;
+use cbws_telemetry::result;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
-    status!("[fig13] scale = {scale}");
-    let suite = cbws_workloads::mi_suite();
-    let run = sweep_engine(scale, &suite, jobs_from_args());
-    let table = fig13_timeliness(&run.records);
+    let cli = Cli::parse("fig13_timeliness", COMMON);
+    let out = cli.sweep(&cli.spec(cbws_workloads::mi_suite(), PrefetcherKind::ALL));
+    let table = fig13_timeliness(&out.run.records);
     result!("Fig. 13 — timeliness and accuracy, % of demand L2 accesses\n");
     result!("{table}");
     save_csv("fig13_timeliness", &table);
-    RunManifest::new(
-        "fig13_timeliness",
-        scale,
-        suite.iter().map(|w| w.name),
-        PrefetcherKind::ALL,
-        SystemConfig::default(),
-    )
-    .with_run(&run)
-    .save("fig13_timeliness");
+    out.manifest.save("fig13_timeliness");
 }

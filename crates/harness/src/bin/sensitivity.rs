@@ -3,48 +3,35 @@
 //! point (2 MB L2, 300-cycle memory); this sweep checks that the CBWS+SMS
 //! advantage is not an artifact of that point.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin sensitivity
-//! [--scale tiny|small|full] [--jobs N] [--spans-out F]
-//! [--resume] [--no-result-cache] [--quiet|--progress]`
+//! Usage: `cargo run --release -p cbws-harness --bin sensitivity -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
 
-use cbws_harness::experiments::{
-    jobs_from_args, result_cache_from_args, save_csv, scale_from_args, session_spans,
-    write_session_spans,
-};
-use cbws_harness::{Engine, EngineConfig, EngineRun, PrefetcherKind, RunManifest, SystemConfig};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::save_csv;
+use cbws_harness::{EngineRun, PrefetcherKind, RunManifest, SweepSpec, SystemConfig};
 use cbws_stats::{geomean, TextTable};
-use cbws_telemetry::{result, status, Telemetry};
-use cbws_workloads::{mi_suite, Scale};
+use cbws_telemetry::{result, status};
+use cbws_workloads::mi_suite;
 
-/// Runs the MI suite under `cfg` through the engine and returns the
-/// geomean CBWS+SMS / SMS speedup plus the run's timing.
-fn geomean_speedup(scale: Scale, cfg: SystemConfig, jobs: usize) -> (f64, EngineRun) {
-    let engine = Engine::new(EngineConfig {
-        jobs,
-        system: cfg,
-        telemetry: Telemetry::disabled(),
-        spans: session_spans().clone(),
-        // Each sensitivity point's config is part of the result key, so
-        // cached entries from other points can never be served here.
-        result_cache: result_cache_from_args(),
-        ..EngineConfig::default()
-    });
-    let run = engine.run(
-        scale,
-        &mi_suite(),
-        &[PrefetcherKind::Sms, PrefetcherKind::CbwsSms],
-    );
+const KINDS: [PrefetcherKind; 2] = [PrefetcherKind::Sms, PrefetcherKind::CbwsSms];
+
+/// Runs the MI suite under `system` and returns the geomean CBWS+SMS / SMS
+/// speedup plus the run. Each point's config is part of the result-store
+/// key, so cached entries from other points are never served here.
+fn geomean_speedup(cli: &Cli, system: SystemConfig) -> (f64, EngineRun) {
+    let run = cli
+        .sweep(&SweepSpec {
+            system,
+            ..cli.spec(mi_suite(), KINDS)
+        })
+        .run;
     // Workload-major order: each pair is (SMS, CBWS+SMS) for one workload.
     let speedup = geomean(run.records.chunks(2).map(|p| p[1].ipc() / p[0].ipc()));
     (speedup, run)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    status!("[sensitivity] scale = {scale}");
+    let cli = Cli::parse("sensitivity", COMMON);
     // Every point's engine run, folded into one for the manifest.
     let mut total = EngineRun::default();
 
@@ -57,7 +44,7 @@ fn main() {
         let mut cfg = SystemConfig::default();
         cfg.mem.l2.size_bytes = mb * 1024 * 1024;
         status!("[sensitivity] L2 = {mb} MB");
-        let (speedup, run) = geomean_speedup(scale, cfg, jobs);
+        let (speedup, run) = geomean_speedup(&cli, cfg);
         total.merge(run);
         l2.row(vec![format!("{mb} MB"), format!("{speedup:.3}")]);
     }
@@ -73,7 +60,7 @@ fn main() {
         let mut cfg = SystemConfig::default();
         cfg.mem.memory_latency = cycles;
         status!("[sensitivity] memory = {cycles} cycles");
-        let (speedup, run) = geomean_speedup(scale, cfg, jobs);
+        let (speedup, run) = geomean_speedup(&cli, cfg);
         total.merge(run);
         lat.row(vec![format!("{cycles} cycles"), format!("{speedup:.3}")]);
     }
@@ -82,13 +69,12 @@ fn main() {
 
     let manifest = RunManifest::new(
         "sensitivity",
-        scale,
+        cli.scale,
         mi_suite().iter().map(|w| w.name),
-        [PrefetcherKind::Sms, PrefetcherKind::CbwsSms],
+        KINDS,
         SystemConfig::default(),
     )
     .with_run(&total);
-    write_session_spans();
     manifest.save("sensitivity_l2");
     manifest.save("sensitivity_latency");
 }

@@ -4,15 +4,14 @@
 //! they can be archived, inspected, or replayed elsewhere.
 //!
 //! ```text
-//! simulate --workload stencil-default [--scale small] [--jobs N] \
-//!          [--prefetcher SMS] [--dram] [--export trace.json] \
-//!          [--metrics-out metrics.json] [--spans-out spans.json] \
-//!          [--resume] [--no-result-cache] [--quiet | --progress]
-//! simulate --trace mytrace.json --prefetcher CBWS+SMS
+//! simulate [--workload NAME | --trace FILE.json] [--prefetcher NAME] [--dram]
+//!          [--export FILE.json] [FLAGS]
 //! ```
 //!
 //! With no `--workload`/`--trace`, the `stencil-default` workload runs.
-//! With no `--prefetcher`, all seven paper configurations run.
+//! With no `--prefetcher`, all seven paper configurations run. `--help`
+//! lists these flags and the ones every binary accepts
+//! (`cbws_harness::cli`).
 //!
 //! `--metrics-out` dumps the hierarchical metrics registry as nested JSON:
 //! the prefetch lifecycle, the Fig. 13 demand classes, evictions, block
@@ -20,123 +19,61 @@
 //! aggregates over every simulated prefetcher of the invocation (the
 //! `run.*` gauges reflect the last run); pass `--prefetcher` to capture a
 //! single configuration. A run manifest is written to
-//! `results/simulate.manifest.json`. Any argument outside the flags above
-//! (plus `--verbose`, an alias of `--progress`) prints the usage and exits
-//! with status 2; the retired `--trace-out` event trace says what replaced
-//! it.
+//! `results/simulate.manifest.json`.
 //!
 //! Registered workloads run through the work-stealing engine (`--jobs N`
 //! workers, default all cores) unless `--metrics-out` asks for shared
 //! per-run telemetry, which requires serial execution.
 
-use cbws_harness::experiments::{
-    jobs_from_args, result_cache_from_args, scale_from_args, session_spans, write_session_spans,
-};
-use cbws_harness::{Engine, EngineConfig, PrefetcherKind, RunManifest, Simulator, SystemConfig};
+use cbws_harness::cli::{Cli, Group};
+use cbws_harness::{EngineConfig, PrefetcherKind, RunManifest, Simulator, SweepSpec, SystemConfig};
 use cbws_sim_mem::DramConfig;
 use cbws_stats::{RunRecord, TextTable};
-use cbws_telemetry::{result, status, Telemetry};
+use cbws_telemetry::{result, status};
 use cbws_trace::{FramedTrace, Trace};
 use cbws_workloads::{by_name, trace_store, Scale, WorkloadSpec};
 use std::sync::Arc;
 
 const DEFAULT_WORKLOAD: &str = "stencil-default";
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Every accepted flag, with the value it takes (`None` for a flag that
-/// stands alone). The usage line is printed from this table.
-const FLAGS: &[(&str, Option<&str>)] = &[
-    ("--workload", Some("<name>")),
-    ("--trace", Some("<file.json>")),
-    ("--scale", Some("tiny|small|full|huge")),
-    ("--jobs", Some("<n>")),
-    ("--prefetcher", Some("<name>")),
-    ("--dram", None),
-    ("--export", Some("<file.json>")),
-    ("--metrics-out", Some("<file.json>")),
-    ("--spans-out", Some("<file.json>")),
-    ("--resume", None),
-    ("--no-result-cache", None),
-    ("--quiet", None),
-    ("--progress", None),
-    ("--verbose", None),
-];
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    let usage: String = FLAGS
-        .iter()
-        .map(|(flag, value)| match value {
-            Some(value) => format!(" [{flag} {value}]"),
-            None => format!(" [{flag}]"),
-        })
-        .collect();
-    eprintln!("usage: simulate{usage}");
-    std::process::exit(2);
-}
-
-/// Rejects any argument that is not an accepted flag or a value-taking
-/// flag's value, and a value-taking flag with nothing after it.
-fn check_args(args: &[String]) {
-    if args.iter().any(|a| a == "--trace-out") {
-        fail(
-            "--trace-out was removed: every event it traced is a counter now; \
-             use --metrics-out <file.json>",
-        );
-    }
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        match FLAGS.iter().find(|(flag, _)| flag == arg) {
-            Some((_, Some(_))) if rest.next().is_none() => fail(&format!("{arg} needs a value")),
-            Some(_) => {}
-            None => fail(&format!("unknown argument `{arg}`")),
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_args(&args);
-    cbws_telemetry::log::apply_cli_flags(&args);
-
-    let scale = scale_from_args();
+    let cli = Cli::parse("simulate", &[Group::Simulate, Group::Sweep, Group::Log]);
+    let scale = cli.scale;
+    if cli.has("--workload") && cli.has("--trace") {
+        cli.fail("--workload and --trace name two inputs; give one");
+    }
     let mut spec: Option<&'static WorkloadSpec> = None;
     // External traces are materialized as a `Vec<TraceEvent>`; registered
     // workloads replay through the trace store instead, so a huge trace is
     // generated to disk frame by frame and never held resident.
     let (label, external): (String, Option<Arc<Trace>>) =
-        if let Some(name) = arg_value(&args, "--workload") {
-            let Some(w) = by_name(&name) else {
-                fail(&format!(
+        if let Some(name) = cli.value("--workload") {
+            let Some(w) = by_name(name) else {
+                cli.fail(&format!(
                     "unknown workload `{name}` (see `trace_info --list`)"
                 ));
             };
             spec = Some(w);
-            (name, None)
-        } else if let Some(path) = arg_value(&args, "--trace") {
-            let data = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+            (name.to_string(), None)
+        } else if let Some(path) = cli.value("--trace") {
+            let data = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| cli.fail(&format!("cannot read {path}: {e}")));
             let trace: Trace = serde_json::from_str(&data)
-                .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
-            (path, Some(Arc::new(trace)))
+                .unwrap_or_else(|e| cli.fail(&format!("cannot parse {path}: {e}")));
+            (path.to_string(), Some(Arc::new(trace)))
         } else {
             let w = by_name(DEFAULT_WORKLOAD).expect("default workload is registered");
             spec = Some(w);
             (DEFAULT_WORKLOAD.to_string(), None)
         };
 
-    if let Some(out) = arg_value(&args, "--export") {
+    if let Some(out) = cli.value("--export") {
         let generated;
         let trace: &Trace = match (&external, spec) {
             (Some(t), _) => t,
             (None, Some(w)) => {
                 if scale == Scale::Huge {
-                    fail(
+                    cli.fail(
                         "--export at huge scale would materialize the whole trace; \
                          export a smaller scale, or read the framed store file directly",
                     );
@@ -147,27 +84,23 @@ fn main() {
             (None, None) => unreachable!("no spec and no external trace"),
         };
         let json = serde_json::to_string(trace).expect("traces serialize");
-        std::fs::write(&out, json).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+        std::fs::write(out, json).unwrap_or_else(|e| cli.fail(&format!("cannot write {out}: {e}")));
         status!("[simulate] exported {} events to {out}", trace.len());
     }
 
-    let kinds: Vec<PrefetcherKind> = match arg_value(&args, "--prefetcher") {
-        Some(name) => vec![PrefetcherKind::from_name(&name)
-            .unwrap_or_else(|| fail(&format!("unknown prefetcher `{name}`")))],
+    let kinds: Vec<PrefetcherKind> = match cli.value("--prefetcher") {
+        Some(name) => vec![PrefetcherKind::from_name(name)
+            .unwrap_or_else(|| cli.fail(&format!("unknown prefetcher `{name}`")))],
         None => PrefetcherKind::ALL.to_vec(),
     };
 
     let mut cfg = SystemConfig::default();
-    if args.iter().any(|a| a == "--dram") {
+    if cli.has("--dram") {
         cfg.mem.dram = Some(DramConfig::default());
     }
 
-    let metrics_out = arg_value(&args, "--metrics-out");
-    let telemetry = if metrics_out.is_some() {
-        Telemetry::enabled_default()
-    } else {
-        Telemetry::disabled()
-    };
+    // Telemetry is on exactly when `--metrics-out` is given.
+    let telemetry = &cli.session().telemetry;
 
     // Registered workloads draw from the persistent trace store: resident
     // frames below the streaming threshold, a disk-backed cursor above it.
@@ -202,18 +135,13 @@ fn main() {
     // external traces and metrics captures run serially.
     let mut manifest = RunManifest::new("simulate", scale, [label.clone()], kinds.clone(), cfg);
     let records: Vec<RunRecord> = match spec {
-        Some(w) if metrics_out.is_none() => {
-            let engine = Engine::new(EngineConfig {
-                jobs: jobs_from_args(),
+        Some(w) if !telemetry.is_enabled() => {
+            let out = cli.sweep(&SweepSpec {
                 system: cfg,
-                telemetry: Telemetry::disabled(),
-                spans: session_spans().clone(),
-                result_cache: result_cache_from_args(),
-                ..EngineConfig::default()
+                ..cli.spec(vec![w], kinds.iter().copied())
             });
-            let run = engine.run(scale, &[w], &kinds);
-            manifest = manifest.with_run(&run);
-            run.records
+            manifest = out.manifest;
+            out.run.records
         }
         _ => {
             let sim = Simulator::with_telemetry(cfg, telemetry.clone());
@@ -222,15 +150,10 @@ fn main() {
                     .iter()
                     .map(|&kind| sim.run(&label, true, &**t, kind))
                     .collect(),
-                (None, Some(src)) => {
-                    // Route the store's `trace.stream.*` counters into the
-                    // same registry the `--metrics-out` dump captures.
-                    trace_store::shared().set_telemetry(telemetry.clone());
-                    kinds
-                        .iter()
-                        .map(|&kind| sim.run(&label, true, src, kind))
-                        .collect()
-                }
+                (None, Some(src)) => kinds
+                    .iter()
+                    .map(|&kind| sim.run(&label, true, src, kind))
+                    .collect(),
                 (None, None) => unreachable!("no spec and no external trace"),
             }
         }
@@ -259,15 +182,6 @@ fn main() {
     }
     result!("{table}");
 
-    if let Some(path) = &metrics_out {
-        let f = std::fs::File::create(path)
-            .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-        telemetry
-            .write_metrics_json(std::io::BufWriter::new(f))
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        status!("[simulate] wrote metrics to {path}");
-    }
-
-    write_session_spans();
+    cli.write_outputs();
     manifest.save("simulate");
 }

@@ -1,21 +1,19 @@
 //! Prints **Table II**: the simulation parameters in force.
 //!
-//! Usage: `cargo run --release -p cbws-harness --bin tab02_parameters
-//! [--jobs N]`
-//!
-//! `--jobs` is accepted for CLI uniformity but has no effect: this binary
-//! runs no simulations.
+//! Usage: `cargo run --release -p cbws-harness --bin tab02_parameters -- [FLAGS]`;
+//! `--help` lists the flags every binary accepts (`cbws_harness::cli`).
+//! It runs no simulation, so `--scale` and `--jobs` change nothing here.
 
-use cbws_harness::experiments::{jobs_from_args, save_csv, tab02_parameters};
+use cbws_harness::cli::{Cli, COMMON};
+use cbws_harness::experiments::{save_csv, tab02_parameters};
 use cbws_harness::SystemConfig;
 use cbws_telemetry::result;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    let _ = jobs_from_args(); // validated for CLI uniformity; no sweep here
+    let cli = Cli::parse("tab02_parameters", COMMON);
     let table = tab02_parameters(&SystemConfig::default());
     result!("Table II — simulation parameters\n");
     result!("{table}");
     save_csv("tab02_parameters", &table);
+    cli.write_outputs();
 }

@@ -4,22 +4,18 @@
 //! (§IV-A's 16-line sufficiency statistic), and the CBWS differential skew.
 //!
 //! Usage: `cargo run --release -p cbws-harness --bin trace_info --
-//! <workload> [--scale tiny|small|full] [--jobs N]`
-//!
-//! `--jobs` is accepted for CLI uniformity but has no effect: this binary
-//! inspects a single trace.
-//!
-//! List available workloads with `--list`.
+//! <workload> [FLAGS]`, or `-- --list` to list the workloads; `--help`
+//! lists the flags (`cbws_harness::cli`). Of the flags every binary
+//! accepts, only `--scale` changes anything here.
 
 use cbws_core::analysis::{collect_block_histories, DifferentialSkew};
-use cbws_harness::experiments::{jobs_from_args, scale_from_args};
+use cbws_harness::cli::{Cli, Group};
 use cbws_telemetry::result;
 use cbws_workloads::{by_name, trace_store, ALL};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cbws_telemetry::log::apply_cli_flags(&args);
-    if args.iter().any(|a| a == "--list") {
+    let cli = Cli::parse("trace_info", &[Group::TraceInfo, Group::Sweep, Group::Log]);
+    if cli.has("--list") {
         result!("{:<26} {:<10} {:<16} pattern", "name", "suite", "group");
         for w in ALL {
             result!(
@@ -30,32 +26,16 @@ fn main() {
                 w.pattern
             );
         }
+        cli.write_outputs();
         return;
     }
-    // The workload name is the first token that is neither a flag nor the
-    // value of a value-taking flag (`--scale tiny`, `--jobs 4`).
-    let mut skip_value = false;
-    let Some(name) = args.iter().find(|a| {
-        if skip_value {
-            skip_value = false;
-            return false;
-        }
-        if *a == "--scale" || *a == "--jobs" {
-            skip_value = true;
-            return false;
-        }
-        !a.starts_with("--")
-    }) else {
-        eprintln!("usage: trace_info <workload> [--scale tiny|small|full] [--jobs N] | --list");
-        std::process::exit(2);
+    let Some(name) = cli.value("<workload>") else {
+        cli.fail("name a workload, or pass --list");
     };
     let Some(w) = by_name(name) else {
-        eprintln!("unknown workload `{name}`; try --list");
-        std::process::exit(2);
+        cli.fail(&format!("unknown workload `{name}`; try --list"));
     };
-
-    let scale = scale_from_args();
-    let _ = jobs_from_args(); // validated for CLI uniformity; no sweep here
+    let scale = cli.scale;
     let trace = trace_store::shared().get(w, scale);
     let s = trace.stats();
 
@@ -116,4 +96,5 @@ fn main() {
     for (d, c) in skew.counts.iter().take(5) {
         result!("  {c:>8} x {d}");
     }
+    cli.write_outputs();
 }

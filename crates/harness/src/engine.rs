@@ -3,7 +3,7 @@
 //! The evaluation is a `(workload × prefetcher)` matrix whose cells cost
 //! wildly different amounts of wall-clock time — trace sizes span orders of
 //! magnitude across the 30 benchmarks. The chunked sweep this engine
-//! replaced (retired in favour of [`crate::experiments::sweep_engine`])
+//! replaced (retired in favour of this engine, behind [`crate::cli::Cli::sweep`])
 //! split the *workload list* into static per-thread chunks, so one thread
 //! could be stuck with the biggest traces while the rest idled. This engine
 //! instead schedules **individual `(workload, prefetcher, scale)` jobs**:
@@ -104,9 +104,8 @@ pub enum ResultCache {
     /// No reads, no writes — every job simulates from its trace. The
     /// library default: unit tests and callers that measure simulation
     /// itself stay unaffected by whatever the store happens to hold.
-    /// Binaries opt in via
-    /// [`crate::experiments::result_cache_from_args`], which returns
-    /// [`ResultCache::Shared`] unless `--no-result-cache` is given.
+    /// Binaries opt in through their command line ([`crate::cli`]), which
+    /// picks [`ResultCache::Shared`] unless `--no-result-cache` is given.
     #[default]
     Off,
     /// The process-wide [`result_store::shared`] store

@@ -2,7 +2,6 @@
 //! experiment index). Each `figNN_*` function turns raw [`RunRecord`]s (or
 //! traces) into the paper's table/figure data rendered as a [`TextTable`].
 
-use crate::engine::{EngineRun, ResultCache};
 use crate::runner::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_core::analysis::{collect_block_histories, DifferentialSkew};
 use cbws_core::{CbwsConfig, CbwsVec};
@@ -10,10 +9,9 @@ use cbws_stats::{
     geomean, mean, GroupedBarChart, LineChart, RunRecord, StackedBarChart, TextTable,
     TimelinessBreakdown,
 };
-use cbws_telemetry::{detail, status, warn, Spans, Telemetry};
+use cbws_telemetry::{detail, status, warn};
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Formats a float with 3 significant digits for tables.
@@ -24,137 +22,6 @@ fn f3(v: f64) -> String {
 /// Formats a percentage.
 fn pct(v: f64) -> String {
     format!("{:.1}", v * 100.0)
-}
-
-/// Reads `--scale tiny|small|full|huge` from the process arguments
-/// (default: full).
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => Scale::Tiny,
-            Some("small") => Scale::Small,
-            Some("huge") => Scale::Huge,
-            Some("full") | None => Scale::Full,
-            Some(other) => {
-                warn!("unknown scale `{other}`, using full");
-                Scale::Full
-            }
-        },
-        None => Scale::Full,
-    }
-}
-
-/// Reads `--metrics-out F` from the process arguments (default: none).
-/// When present, [`sweep_engine`] enables telemetry and dumps the metrics
-/// registry (`engine.*`, `trace_store.*`, phase gauges) to `F` as JSON.
-pub fn metrics_out_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Reads `--spans-out F` from the process arguments (default: none). When
-/// present, [`session_spans`] is enabled and the process's span timeline is
-/// exported to `F` as Chrome trace-event JSON (load it at `ui.perfetto.dev`
-/// or `chrome://tracing`).
-pub fn spans_out_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--spans-out")
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The process-wide span collector: enabled when `--spans-out` is on the
-/// command line, disabled (one untaken branch per span site) otherwise.
-/// The engine's workers, the trace store, and the simulated core all record
-/// into this one collector, so every lane lands in a single exported
-/// timeline.
-pub fn session_spans() -> &'static Spans {
-    static SPANS: OnceLock<Spans> = OnceLock::new();
-    SPANS.get_or_init(|| {
-        if spans_out_from_args().is_some() {
-            Spans::enabled()
-        } else {
-            Spans::disabled()
-        }
-    })
-}
-
-/// Writes the session's spans to the `--spans-out` path as Chrome
-/// trace-event JSON (best-effort, like [`save_csv`]; no-op without the
-/// flag). Callable repeatedly — each call rewrites the file with the
-/// timeline so far.
-pub fn write_session_spans() {
-    let Some(path) = spans_out_from_args() else {
-        return;
-    };
-    let write = std::fs::File::create(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|f| {
-            session_spans()
-                .write_chrome_trace(std::io::BufWriter::new(f))
-                .map_err(|e| e.to_string())
-        });
-    match write {
-        Ok(()) => status!("[spans] wrote Chrome trace to {path}"),
-        Err(e) => warn!("cannot write {path}: {e}"),
-    }
-}
-
-/// Reads `--jobs N` from the process arguments (default: `0`, meaning all
-/// available cores — see [`crate::engine::detect_parallelism`]).
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) => n,
-            Some(Err(_)) | None => {
-                warn!("invalid --jobs value, using all cores");
-                0
-            }
-        },
-        None => 0,
-    }
-}
-
-/// Decides the engine's [`ResultCache`] policy from a CLI argument list
-/// (separated from [`result_cache_from_args`] so the conflict handling is
-/// unit-testable):
-///
-/// - default: the persistent result store is **on**
-///   ([`ResultCache::Shared`]) — repeated or resumed sweeps serve already
-///   computed `(workload, prefetcher, config)` jobs from
-///   `CBWS_RESULT_STORE_DIR`;
-/// - `--resume` makes that explicit when restarting an interrupted sweep
-///   (same policy, plus a resumption report of how many jobs were already
-///   done);
-/// - `--no-result-cache` turns the store off — every job simulates.
-///   Combining it with `--resume` warns and the store stays off.
-pub fn result_cache_mode(args: &[String]) -> ResultCache {
-    let no_cache = args.iter().any(|a| a == "--no-result-cache");
-    if no_cache {
-        if args.iter().any(|a| a == "--resume") {
-            warn!("--resume has no effect with --no-result-cache; the result store stays off");
-        }
-        ResultCache::Off
-    } else {
-        ResultCache::Shared
-    }
-}
-
-/// Reads `--resume` / `--no-result-cache` from the process arguments (see
-/// [`result_cache_mode`] for the policy).
-pub fn result_cache_from_args() -> ResultCache {
-    let args: Vec<String> = std::env::args().collect();
-    result_cache_mode(&args)
-}
-
-/// True when `--resume` is on the command line — callers then report the
-/// already-done/remaining job split prominently.
-pub fn resume_requested() -> bool {
-    std::env::args().any(|a| a == "--resume")
 }
 
 /// Writes a table to `results/<name>.csv`, creating the directory if
@@ -355,103 +222,6 @@ pub fn fig05_svg(scale: Scale) -> String {
         chart = chart.series(name, pts);
     }
     chart.render()
-}
-
-/// Like [`sweep`], but schedules each (workload, prefetcher) job across
-/// worker threads via the work-stealing [`Engine`](crate::Engine). Results
-/// are identical
-/// to the serial sweep (each simulation is independent and deterministic);
-/// only wall-clock time changes. Records come back in the same
-/// (workload-major, prefetcher-minor) order.
-///
-/// `jobs = 0` uses every available core; the run reports worker count,
-/// wall-clock and per-phase timings for the manifest. With `--metrics-out
-/// F` on the command line, the engine's telemetry (scheduling metrics and
-/// the trace and result stores' hit/miss/invalidate counters) is dumped to
-/// `F`. With `--spans-out F`, the per-worker span timeline
-/// ([`session_spans`]) is exported to `F` as Chrome trace-event JSON.
-///
-/// The persistent result store is consulted per the command line
-/// ([`result_cache_from_args`]): on by default, `--resume` reports the
-/// already-done/remaining split, `--no-result-cache` simulates everything.
-pub fn sweep_engine(scale: Scale, workloads: &[&'static WorkloadSpec], jobs: usize) -> EngineRun {
-    sweep_engine_with(scale, workloads, jobs, result_cache_from_args())
-}
-
-/// [`sweep_engine`] with an explicit [`ResultCache`] policy instead of the
-/// command-line one (benches and tests pin `Off` or a scratch store so
-/// their timings and phase assertions are independent of whatever the
-/// shared store holds).
-pub fn sweep_engine_with(
-    scale: Scale,
-    workloads: &[&'static WorkloadSpec],
-    jobs: usize,
-    result_cache: ResultCache,
-) -> EngineRun {
-    let metrics_out = metrics_out_from_args();
-    let telemetry = if metrics_out.is_some() {
-        Telemetry::enabled_default()
-    } else {
-        Telemetry::disabled()
-    };
-    let cache_on = !matches!(result_cache, ResultCache::Off);
-    // The CLI and the sweep server share this orchestration path (see
-    // `crate::service`); only the flag parsing and reporting around it
-    // differ.
-    let session = crate::service::SweepSession {
-        telemetry: telemetry.clone(),
-        spans: session_spans().clone(),
-        result_cache,
-        store_writes: true,
-    };
-    let spec = crate::service::SweepSpec {
-        workloads: workloads.to_vec(),
-        kinds: PrefetcherKind::ALL.to_vec(),
-        scale,
-        jobs,
-        system: SystemConfig::default(),
-        stream_threshold_bytes: None,
-    };
-    let run = session.run("sweep_engine", &spec, None).run;
-    status!(
-        "[engine] {} jobs on {} workers in {:.2} s ({:.1} jobs/s, {:.0}% utilization)",
-        run.job_count,
-        run.workers,
-        run.wall_seconds,
-        run.jobs_per_sec(),
-        run.utilization * 100.0
-    );
-    if cache_on {
-        let hits = run.store_hits();
-        if resume_requested() {
-            status!(
-                "[engine] resume: {hits} of {} jobs already in the result store, {} simulated",
-                run.job_count,
-                run.store_misses()
-            );
-        } else {
-            status!(
-                "[engine] result store: {hits} hits, {} misses",
-                run.store_misses()
-            );
-        }
-    }
-    detail!("[engine] phase timings:\n{}", phase_report(&run.phases()));
-    if let Some(path) = metrics_out {
-        let write = std::fs::File::create(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| {
-                telemetry
-                    .write_metrics_json(std::io::BufWriter::new(f))
-                    .map_err(|e| e.to_string())
-            });
-        match write {
-            Ok(()) => status!("[engine] wrote metrics to {path}"),
-            Err(e) => warn!("cannot write {path}: {e}"),
-        }
-    }
-    write_session_spans();
-    run
 }
 
 /// Looks up one record of a sweep.
@@ -833,39 +603,6 @@ mod tests {
                     .all(|r| r.mem.classification_is_partition()));
             }
         }
-    }
-
-    #[test]
-    fn sweep_engine_reports_timing() {
-        let picks: Vec<&'static WorkloadSpec> =
-            ["nw"].iter().map(|n| by_name(n).unwrap()).collect();
-        // Cache pinned off so the phase assertion below holds regardless
-        // of what the shared result store contains.
-        let run = sweep_engine_with(Scale::Tiny, &picks, 2, ResultCache::Off);
-        assert_eq!(run.records.len(), PrefetcherKind::ALL.len());
-        assert_eq!(run.workers, 2);
-        assert!(run.wall_seconds > 0.0);
-        assert!(run.phases().contains_key("simulate"));
-        assert_eq!(run.store_hits() + run.store_misses(), 0);
-    }
-
-    #[test]
-    fn result_cache_mode_parses_flags() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(matches!(result_cache_mode(&args(&[])), ResultCache::Shared));
-        assert!(matches!(
-            result_cache_mode(&args(&["--scale", "tiny", "--resume"])),
-            ResultCache::Shared
-        ));
-        assert!(matches!(
-            result_cache_mode(&args(&["--no-result-cache"])),
-            ResultCache::Off
-        ));
-        // Conflicting flags: no-cache wins (a warning is emitted).
-        assert!(matches!(
-            result_cache_mode(&args(&["--resume", "--no-result-cache"])),
-            ResultCache::Off
-        ));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! assert!(hybrid.cpu.instructions == sms.cpu.instructions);
 //! ```
 
+pub mod cli;
 mod dispatch;
 pub mod engine;
 pub mod experiments;

@@ -5,7 +5,7 @@
 //! sequence: pick workloads and prefetchers, build an [`EngineConfig`],
 //! run the engine, and assemble a [`RunManifest`] from the run's timing
 //! and worker stats. The sweep server needs exactly that sequence driven
-//! from an HTTP request instead of `std::env::args`, so the pieces live
+//! from an HTTP request instead of the command line, so the pieces live
 //! here as plain data in / data out functions:
 //!
 //! - [`resolve_workloads`] / [`resolve_kinds`] / [`parse_scale`] turn
@@ -18,7 +18,7 @@
 //!   executes a spec, returning the records *and* the manifest in one
 //!   [`SweepOutcome`].
 //!
-//! [`crate::experiments::sweep_engine`] and the binaries delegate here,
+//! The binaries' one sweep entry, [`crate::cli::Cli::sweep`], delegates here,
 //! so a sweep submitted over HTTP and one run from the command line share
 //! every line of orchestration code — the byte-identical-records
 //! guarantee is structural, not coincidental.
