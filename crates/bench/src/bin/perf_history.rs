@@ -17,8 +17,9 @@
 //! `k` stddevs of its prior runs, or when an absolute gate on the latest
 //! record fails (`replay_speedup >= 1.0`; single-worker
 //! `engine_warm_seconds <= 1.02 x serial_seconds`; cached sweep
-//! `engine_warm_seconds / engine_cached_seconds >= 3.0` — see
-//! `perf_history::check_gates`); `--warn-only` downgrades failures to
+//! `engine_warm_seconds / engine_cached_seconds >= 3.0`; served
+//! `server_overhead_ratio` at most `perf_history::SERVER_OVERHEAD_CEILING`
+//! — see `perf_history::check_gates`); `--warn-only` downgrades failures to
 //! warnings for hosts whose timings are known-noisy (e.g. single-core CI
 //! runners). `--check` is accepted as an alias for the `check` subcommand.
 

@@ -580,7 +580,9 @@ fn observability() -> String {
 }
 
 fn perf_trends(root: &Path) -> Result<String, String> {
-    use cbws_bench::perf_history::{benches_in, load, trends, HARD_METRICS, MIN_HISTORY};
+    use cbws_bench::perf_history::{
+        benches_in, load, trends, HARD_METRICS, MIN_HISTORY, SERVER_OVERHEAD_CEILING,
+    };
     let dir = root.join("results/perf-history");
     let mut md = format!(
         "{}# Performance trends\n\n\
@@ -591,20 +593,23 @@ fn perf_trends(root: &Path) -> Result<String, String> {
          `perf-history check` fails CI when a **hard-gated** metric ({}) \
          exceeds the prior mean by 3 stddevs (with a 2%-of-mean noise \
          floor); other `*_seconds` metrics only warn. Gating starts once a \
-         metric has {} prior runs. Four absolute gates apply to the latest \
+         metric has {} prior runs. Five absolute gates apply to the latest \
          record regardless of history: `replay_speedup >= 1.0` (direct \
          packed replay must beat materialize-then-replay AoS), \
          `stream_throughput_ratio >= 0.7` (disk-backed streamed replay \
          must hold 70% of warm in-memory replay throughput; see \
          [the trace store](trace-store.md)), \
          `engine_warm_seconds <= 1.02 x serial_seconds` on single-worker \
-         sweep records (the overhead bound of a one-worker engine run), and \
+         sweep records (the overhead bound of a one-worker engine run), \
          `engine_warm_seconds / engine_cached_seconds >= 3.0` (a sweep \
          served from the [result store](result-store.md) must beat \
-         re-simulation).\n",
+         re-simulation), and `server_overhead_ratio <= {}` (a cached \
+         `/v1/simulate` from the [sweep service](service.md) must stay \
+         within that many bare loopback round trips of the same bytes).\n",
         pages::GENERATED_BANNER,
         HARD_METRICS.join(", "),
-        MIN_HISTORY
+        MIN_HISTORY,
+        SERVER_OVERHEAD_CEILING
     );
     let benches = benches_in(&dir);
     if benches.is_empty() {

@@ -64,27 +64,30 @@ use cbws_telemetry::{detail, log, warn, Heartbeat, Log2Histogram, Spans, Telemet
 use cbws_workloads::{trace_store, Group, Scale, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Number of workers the engine will use for `jobs = 0` (all cores).
 ///
 /// Unlike the chunked sweep this engine replaced, detection failure is
 /// *reported* (and falls back to serial execution) instead of silently
-/// pretending the machine has four cores.
+/// pretending the machine has four cores. The answer is probed once per
+/// process: `available_parallelism` re-reads the cgroup CPU quota files on
+/// every call, and every run manifest asks.
 ///
 /// ```
 /// let workers = cbws_harness::engine::detect_parallelism();
 /// assert!(workers >= 1);
 /// ```
 pub fn detect_parallelism() -> usize {
-    match std::thread::available_parallelism() {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| match std::thread::available_parallelism() {
         Ok(n) => n.get(),
         Err(e) => {
             warn!("[engine] cannot detect available parallelism ({e}); running single-threaded");
             1
         }
-    }
+    })
 }
 
 /// Environment variable overriding the default streamed-replay threshold

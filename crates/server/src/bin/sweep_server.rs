@@ -42,7 +42,7 @@ fn main() {
         server.state().queue.capacity()
     );
 
-    // Serve until killed; the accept loop runs on its own thread.
+    // Serve until killed; the worker pool runs on its own threads.
     loop {
         std::thread::park();
     }

@@ -228,7 +228,8 @@ fn parse_run_request(state: &ServerState, req: &Request) -> Result<RunRequest, S
 /// What the streaming observer tracks while the engine runs.
 struct StreamState {
     out: TcpStream,
-    /// Records finished out of serial order, waiting for their turn.
+    /// Record lines (each ending in `\n`, so one write sends it) finished
+    /// out of serial order, waiting for their turn.
     pending: BTreeMap<usize, String>,
     /// Next serial index to stream.
     next: usize,
@@ -283,17 +284,15 @@ fn sweep(state: &ServerState, req: &Request, stream: &mut TcpStream) -> std::io:
             if update.cached {
                 st.cached += 1;
             }
-            let line = serde_json::to_string(update.record).expect("records serialize");
+            let mut line = serde_json::to_string(update.record).expect("records serialize");
+            line.push('\n');
             st.pending.insert(update.job, line);
             loop {
                 let head = st.next;
                 let Some(line) = st.pending.remove(&head) else {
                     break;
                 };
-                if st.out.write_all(line.as_bytes()).is_err()
-                    || st.out.write_all(b"\n").is_err()
-                    || st.out.flush().is_err()
-                {
+                if st.out.write_all(line.as_bytes()).is_err() {
                     st.failed = true;
                     return false;
                 }
@@ -326,9 +325,7 @@ fn sweep(state: &ServerState, req: &Request, stream: &mut TcpStream) -> std::io:
     // buffer; stream them in index order so nothing computed is lost.
     let leftovers: Vec<String> = std::mem::take(&mut st.pending).into_values().collect();
     for line in leftovers {
-        if !st.failed
-            && (st.out.write_all(line.as_bytes()).is_err() || st.out.write_all(b"\n").is_err())
-        {
+        if !st.failed && st.out.write_all(line.as_bytes()).is_err() {
             st.failed = true;
         }
         if !st.failed {
@@ -370,12 +367,9 @@ fn sweep(state: &ServerState, req: &Request, stream: &mut TcpStream) -> std::io:
         ]),
     )]);
     if !st.failed {
-        let line = serde_json::to_string(&summary).expect("summaries serialize");
-        let _ = st
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|_| st.out.write_all(b"\n"))
-            .and_then(|_| st.out.flush());
+        let mut line = serde_json::to_string(&summary).expect("summaries serialize");
+        line.push('\n');
+        let _ = st.out.write_all(line.as_bytes());
     }
     Ok(())
 }

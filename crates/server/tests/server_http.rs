@@ -179,6 +179,44 @@ fn default_config_server_records_no_spans() {
     server.shutdown();
 }
 
+/// Workers are reused, and `/v1/sweep` adopts a `request-N` span lane on
+/// its worker. Every connection starts back on its worker's own lane, so
+/// a `/v1/simulate` served later on that thread records nothing on the
+/// sweep's lane.
+#[test]
+fn simulate_after_sweep_does_not_record_on_the_sweeps_lane() {
+    let server = test_server("lanes", |_| {});
+    let addr = server.addr();
+    let spec = r#"{"workloads":["stencil-default"],"prefetchers":["SMS"],"scale":"tiny"}"#;
+    let (status, body) = post(addr, "/v1/sweep", spec, None);
+    assert_eq!(status, 200, "{body}");
+    let spans = server.state().spans();
+    let sweep_lane = spans
+        .lanes()
+        .iter()
+        .position(|l| l.starts_with("request-"))
+        .expect("the sweep adopted a request lane");
+    let before = spans.records().len();
+    // A closed-loop client alternates between two warm workers, so some
+    // of these land on the thread that served the sweep.
+    for _ in 0..4 {
+        let (status, body) = post(addr, "/v1/simulate", spec, None);
+        assert_eq!(status, 200, "{body}");
+    }
+    let records = spans.records();
+    assert!(records.len() > before, "simulate records spans");
+    let strays: Vec<&str> = records[before..]
+        .iter()
+        .filter(|r| r.lane == sweep_lane)
+        .map(|r| r.name.as_str())
+        .collect();
+    assert!(
+        strays.is_empty(),
+        "recorded on the sweep's lane: {strays:?}"
+    );
+    server.shutdown();
+}
+
 /// A 2 MiB body holding one JSON string is answered 400 within a fixed
 /// bound on both JSON routes: request parsing is linear in the body.
 #[test]
@@ -301,6 +339,31 @@ fn queue_full_answers_429_without_blocking() {
     let (_, body) = get(addr, "/metrics");
     let metrics: Value = serde_json::from_str(&body).unwrap();
     assert_eq!(uint(&metrics, "server.rejected"), 1);
+    server.shutdown();
+}
+
+#[test]
+fn client_reconnecting_at_the_connection_cap_is_served_not_rejected() {
+    // Cap 3: a held socket and the leader leave one worker for a client
+    // that reconnects the moment each answer ends. The worker is back
+    // among the followers before the client sees the close, so the
+    // leader always has someone to promote.
+    let server = test_server("reconnect", |c| c.queue_capacity = 1);
+    let addr = server.addr();
+    let mut held = TcpStream::connect(addr).unwrap();
+    held.write_all(b"POST /v1/simulate HTTP/1.1\r\nHost: t\r\n")
+        .unwrap();
+    for i in 0..2000 {
+        let (status, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "request {i}: {body}");
+    }
+    let rejected = server
+        .state()
+        .telemetry()
+        .with_metrics(|m| m.counter("server.connections_rejected"))
+        .flatten();
+    assert_eq!(rejected, None);
+    drop(held);
     server.shutdown();
 }
 
