@@ -1,188 +1,144 @@
-//! Ablation benches for the design choices DESIGN.md §7 calls out:
+//! Ablations of the design choices DESIGN.md §7 calls out:
 //!
 //! * differential history table size (16 vs 64 vs 256 entries) — the
 //!   fft/streamcluster thrash recovery;
-//! * maximum CBWS vector length (16 vs 64 lines) — the bzip2 capacity
-//!   effect (and the paper's claim that 16 suffices elsewhere);
+//! * maximum CBWS vector length (16 vs 64 vs 256 lines) — the bzip2
+//!   capacity effect (and the paper's claim that 16 suffices elsewhere);
 //! * multi-step prediction depth (1..4) — the Fig. 7 timeliness argument;
 //! * train-on-hits vs misses-only — the paper's central "compiler hints
 //!   enable aggressiveness" claim;
 //! * hybrid SMS-suppression policy.
 //!
-//! Each variant is timed by Criterion and its quality metrics (MPKI/IPC)
-//! are printed once to stderr so the bench log doubles as the ablation
-//! table.
+//! ```text
+//! cargo bench -p cbws-bench --bench ablations
+//! ```
+//!
+//! Every variant replays a Tiny trace from the trace store. Each row
+//! prints the variant's MPKI and IPC — the ablation table EXPERIMENTS.md
+//! quotes — and its best-of-[`RUNS`] wall time.
 
+use cbws_bench::{best_of, Args};
 use cbws_core::{CbwsConfig, CbwsPrefetcher, CbwsSmsPrefetcher, SmsSuppression};
 use cbws_harness::PrefetchedMemory;
-use cbws_prefetchers::SmsConfig;
+use cbws_prefetchers::{Prefetcher, SmsConfig};
 use cbws_sim_cpu::{Core, CoreConfig};
 use cbws_sim_mem::{HierarchyConfig, MemoryHierarchy};
 use cbws_stats::RunRecord;
-use cbws_trace::Trace;
-use cbws_workloads::{by_name, Scale};
-use criterion::{criterion_group, criterion_main, Criterion};
+use cbws_trace::FramedTrace;
+use cbws_workloads::{by_name, trace_store, Scale};
 use std::hint::black_box;
+use std::sync::Arc;
 
-fn run_cbws(trace: &Trace, cfg: CbwsConfig) -> RunRecord {
-    let mut mem = PrefetchedMemory::new(
-        MemoryHierarchy::new(HierarchyConfig::default()),
-        CbwsPrefetcher::new(cfg),
-    );
+/// Timed runs per variant; each row reports the best.
+const RUNS: usize = 10;
+
+/// One replay of `trace` under `prefetcher`, on the default core and
+/// hierarchy.
+fn run(trace: &FramedTrace, prefetcher: impl Prefetcher) -> RunRecord {
+    let name = prefetcher.name();
+    let mut mem =
+        PrefetchedMemory::new(MemoryHierarchy::new(HierarchyConfig::default()), prefetcher);
     let cpu = Core::new(CoreConfig::default()).run(trace, &mut mem);
-    let mem = mem.finish();
     RunRecord {
         workload: "ablation".into(),
         memory_intensive: true,
-        prefetcher: "CBWS".into(),
+        prefetcher: name.into(),
         cpu,
-        mem,
+        mem: mem.finish(),
     }
 }
 
-fn run_hybrid(trace: &Trace, policy: SmsSuppression) -> RunRecord {
-    let mut mem = PrefetchedMemory::new(
-        MemoryHierarchy::new(HierarchyConfig::default()),
-        CbwsSmsPrefetcher::with_policy(CbwsConfig::default(), SmsConfig::default(), policy),
+/// Prints one ablation row: `label`, then the MPKI, IPC and best wall
+/// time of `trace` under the prefetcher `build` makes.
+fn row<P: Prefetcher>(trace: &FramedTrace, label: &str, build: impl Fn() -> P) {
+    let r = run(trace, build());
+    let secs = best_of(RUNS, || {
+        black_box(run(trace, build()));
+    });
+    println!(
+        "  {label}: MPKI {:.2}  IPC {:.3}  ({:.0} µs)",
+        r.mpki(),
+        r.ipc(),
+        secs * 1e6
     );
-    let cpu = Core::new(CoreConfig::default()).run(trace, &mut mem);
-    let mem = mem.finish();
-    RunRecord {
-        workload: "ablation".into(),
-        memory_intensive: true,
-        prefetcher: "CBWS+SMS".into(),
-        cpu,
-        mem,
-    }
 }
 
-fn table_size(c: &mut Criterion) {
+/// The Tiny trace of workload `name`, from the shared trace store.
+fn trace(name: &str) -> Arc<FramedTrace> {
+    trace_store::shared().get(by_name(name).expect("registered"), Scale::Tiny)
+}
+
+fn main() {
+    Args::parse("ablations", &[]);
+
     // fft thrashes a 16-entry table; a larger table recovers some hits.
-    let trace = by_name("fft-simlarge").unwrap().generate(Scale::Tiny);
-    let mut g = c.benchmark_group("ablation_table_size");
-    g.sample_size(10);
-    eprintln!("\n[ablation] history table size on fft:");
-    for entries in [16usize, 64, 256] {
+    let fft = trace("fft-simlarge");
+    println!("[ablation] history table size on fft:");
+    for table_entries in [16usize, 64, 256] {
         let cfg = CbwsConfig {
-            table_entries: entries,
+            table_entries,
             ..CbwsConfig::default()
         };
-        let r = run_cbws(&trace, cfg);
-        eprintln!(
-            "  {entries:>3} entries: MPKI {:.2}  IPC {:.3}",
-            r.mpki(),
-            r.ipc()
-        );
-        g.bench_function(format!("fft_entries_{entries}"), |b| {
-            b.iter(|| black_box(run_cbws(&trace, cfg)))
+        row(&fft, &format!("{table_entries:>3} entries"), || {
+            CbwsPrefetcher::new(cfg)
         });
     }
-    g.finish();
-}
 
-fn vector_capacity(c: &mut Criterion) {
     // bzip2's 256-line blocks overflow a 16-line vector; 64 helps, at a
     // storage cost the paper judges unjustified (§VII-C).
-    let trace = by_name("401.bzip2-source").unwrap().generate(Scale::Tiny);
-    let mut g = c.benchmark_group("ablation_vector_capacity");
-    g.sample_size(10);
-    eprintln!("\n[ablation] CBWS vector capacity on bzip2:");
+    let bzip2 = trace("401.bzip2-source");
+    println!("\n[ablation] CBWS vector capacity on bzip2:");
     for max_vector in [16usize, 64, 256] {
         let cfg = CbwsConfig {
             max_vector,
             ..CbwsConfig::default()
         };
-        let r = run_cbws(&trace, cfg);
-        eprintln!(
-            "  {max_vector:>3} lines ({} bits): MPKI {:.2}  IPC {:.3}",
-            cfg.storage_bits(),
-            r.mpki(),
-            r.ipc()
-        );
-        g.bench_function(format!("bzip2_capacity_{max_vector}"), |b| {
-            b.iter(|| black_box(run_cbws(&trace, cfg)))
-        });
+        let label = format!("{max_vector:>3} lines ({} bits)", cfg.storage_bits());
+        row(&bzip2, &label, || CbwsPrefetcher::new(cfg));
     }
-    g.finish();
-}
 
-fn prediction_depth(c: &mut Criterion) {
     // Deeper multi-step prediction buys timeliness on the stencil.
-    let trace = by_name("stencil-default").unwrap().generate(Scale::Tiny);
-    let mut g = c.benchmark_group("ablation_prediction_depth");
-    g.sample_size(10);
-    eprintln!("\n[ablation] prediction depth on stencil:");
-    for depth in 1..=4usize {
+    let stencil = trace("stencil-default");
+    println!("\n[ablation] prediction depth on stencil:");
+    for prediction_depth in 1..=4usize {
         let cfg = CbwsConfig {
-            prediction_depth: depth,
+            prediction_depth,
             ..CbwsConfig::default()
         };
-        let r = run_cbws(&trace, cfg);
-        eprintln!("  depth {depth}: MPKI {:.2}  IPC {:.3}", r.mpki(), r.ipc());
-        g.bench_function(format!("stencil_depth_{depth}"), |b| {
-            b.iter(|| black_box(run_cbws(&trace, cfg)))
+        row(&stencil, &format!("depth {prediction_depth}"), || {
+            CbwsPrefetcher::new(cfg)
         });
     }
-    g.finish();
-}
 
-fn hit_training(c: &mut Criterion) {
     // The paper's core aggressiveness claim: tracking L1 hits (safe inside
     // compiler-annotated loops) versus the conservative misses-only
     // configuration static prefetchers are stuck with.
-    let trace = by_name("stencil-default").unwrap().generate(Scale::Tiny);
-    let mut g = c.benchmark_group("ablation_hit_training");
-    g.sample_size(10);
-    eprintln!("\n[ablation] observe L1 hits vs misses-only on stencil:");
+    println!("\n[ablation] observe L1 hits vs misses-only on stencil:");
     for observe_l1_hits in [true, false] {
         let cfg = CbwsConfig {
             observe_l1_hits,
             ..CbwsConfig::default()
         };
-        let r = run_cbws(&trace, cfg);
-        eprintln!(
-            "  observe_hits={observe_l1_hits}: MPKI {:.2}  IPC {:.3}",
-            r.mpki(),
-            r.ipc()
-        );
-        g.bench_function(format!("stencil_hits_{observe_l1_hits}"), |b| {
-            b.iter(|| black_box(run_cbws(&trace, cfg)))
+        row(&stencil, &format!("observe_hits={observe_l1_hits}"), || {
+            CbwsPrefetcher::new(cfg)
         });
     }
-    g.finish();
-}
 
-fn suppression_policy(c: &mut Criterion) {
     // Hybrid arbitration: how much SMS to silence.
-    let mut g = c.benchmark_group("ablation_suppression");
-    g.sample_size(10);
-    for (bench, name) in [
+    for (workload, name) in [
         ("462.libquantum-ref", "libquantum"),
         ("stencil-default", "stencil"),
     ] {
-        let trace = by_name(bench).unwrap().generate(Scale::Tiny);
-        eprintln!("\n[ablation] SMS suppression policy on {name}:");
+        let trace = trace(workload);
+        println!("\n[ablation] SMS suppression policy on {name}:");
         for policy in [
             SmsSuppression::Never,
             SmsSuppression::WhenConfident,
             SmsSuppression::WhenCovering,
         ] {
-            let r = run_hybrid(&trace, policy);
-            eprintln!("  {policy:?}: MPKI {:.2}  IPC {:.3}", r.mpki(), r.ipc());
-            g.bench_function(format!("{name}_{policy:?}"), |b| {
-                b.iter(|| black_box(run_hybrid(&trace, policy)))
+            row(&trace, &format!("{policy:?}"), || {
+                CbwsSmsPrefetcher::with_policy(CbwsConfig::default(), SmsConfig::default(), policy)
             });
         }
     }
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    table_size,
-    vector_capacity,
-    prediction_depth,
-    hit_training,
-    suppression_policy
-);
-criterion_main!(benches);

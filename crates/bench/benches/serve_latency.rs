@@ -31,7 +31,7 @@
 //! Unless `CBWS_TRACE_STORE_DIR` is set, traces go to a bench-owned store
 //! under the workspace's `target/`; the hit leg's result store always does.
 
-use cbws_bench::{workspace_root, write_snapshot};
+use cbws_bench::{workspace_root, write_snapshot, Args};
 use cbws_harness::engine::detect_parallelism;
 use cbws_harness::result_store::ResultStore;
 use cbws_harness::ResultCache;
@@ -125,6 +125,7 @@ fn quantile(samples: &mut [f64], q: f64) -> f64 {
 }
 
 fn main() {
+    Args::parse("serve_latency", &[]);
     let root = workspace_root();
     if std::env::var_os("CBWS_TRACE_STORE_DIR").is_none() {
         std::env::set_var(

@@ -16,14 +16,14 @@
 //!
 //! ```text
 //! cargo bench -p cbws-bench --bench stream_replay -- \
-//!     [--scale tiny|small|full] [--iters K]
+//!     [--scale tiny|small|full|huge] [--iters K]
 //! ```
 //!
 //! Exits non-zero if the streamed records diverge from the in-memory
 //! replay's — the replay representation must never change simulation
 //! output.
 
-use cbws_bench::{arg_value, time, write_snapshot};
+use cbws_bench::{time, write_snapshot, Args};
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_telemetry::Telemetry;
 use cbws_workloads::trace_store::TraceStore;
@@ -79,17 +79,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match arg_value(&args, "--scale").as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        _ => Scale::Small,
-    };
+    let args = Args::parse("stream_replay", &["--scale", "--iters"]);
+    let scale = args.scale.unwrap_or(Scale::Small);
     let scale_name = scale.to_string();
-    let iters: usize = arg_value(&args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let iters = args.iters.unwrap_or(3);
     let workloads: Vec<&'static WorkloadSpec> = ["stencil-default", "histo-large", "mxm-linpack"]
         .iter()
         .map(|n| by_name(n).expect("registered"))

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo bench -p cbws-bench --bench sweep_e2e -- \
-//!     [--scale tiny|small|full] [--jobs N] [--iters K]
+//!     [--scale tiny|small|full|huge] [--jobs N] [--iters K]
 //! ```
 //!
 //! Exits non-zero if the engine's records diverge from the serial sweep or
@@ -30,7 +30,7 @@
 //! directories (under the workspace's `target/`) so cold runs can wipe
 //! them safely.
 
-use cbws_bench::{arg_value, time, workspace_root, write_snapshot};
+use cbws_bench::{time, workspace_root, write_snapshot, Args};
 use cbws_harness::engine::detect_parallelism;
 use cbws_harness::experiments::sweep;
 use cbws_harness::{result_store, EngineRun, ResultCache, SweepSession, SweepSpec};
@@ -48,6 +48,7 @@ fn engine_sweep(scale: Scale, jobs: usize, result_cache: ResultCache) -> EngineR
 }
 
 fn main() {
+    let args = Args::parse("sweep_e2e", &["--scale", "--jobs", "--iters"]);
     for (var, dir) in [
         ("CBWS_TRACE_STORE_DIR", "target/trace-store-bench"),
         ("CBWS_RESULT_STORE_DIR", "target/result-store-bench"),
@@ -56,20 +57,10 @@ fn main() {
             std::env::set_var(var, workspace_root().join(dir));
         }
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match arg_value(&args, "--scale").as_deref() {
-        Some("small") => Scale::Small,
-        Some("full") => Scale::Full,
-        _ => Scale::Tiny,
-    };
+    let scale = args.scale.unwrap_or(Scale::Tiny);
     let scale_name = scale.to_string();
-    let jobs: usize = arg_value(&args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let iters: usize = arg_value(&args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let jobs = args.jobs.unwrap_or(0);
+    let iters = args.iters.unwrap_or(1);
     let workloads: Vec<&'static WorkloadSpec> = ALL.iter().collect();
     let cores = detect_parallelism();
     eprintln!(

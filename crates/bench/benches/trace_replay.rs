@@ -22,30 +22,23 @@
 //!
 //! ```text
 //! cargo bench -p cbws-bench --bench trace_replay -- \
-//!     [--scale tiny|small|full] [--iters K]
+//!     [--scale tiny|small|full|huge] [--iters K] [--all]
 //! ```
 //!
 //! Exits non-zero if the packed replay's records diverge from the AoS
 //! replay's — representation must never change simulation output.
 
-use cbws_bench::{arg_value, best_of, write_snapshot};
+use cbws_bench::{best_of, write_snapshot, Args};
 use cbws_harness::{PrefetcherKind, Simulator, SystemConfig};
 use cbws_workloads::trace_store::TraceStore;
 use cbws_workloads::{by_name, Scale, WorkloadSpec, ALL};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match arg_value(&args, "--scale").as_deref() {
-        Some("small") => Scale::Small,
-        Some("full") => Scale::Full,
-        _ => Scale::Tiny,
-    };
+    let args = Args::parse("trace_replay", &["--scale", "--iters", "--all"]);
+    let scale = args.scale.unwrap_or(Scale::Tiny);
     let scale_name = scale.to_string();
-    let iters: usize = arg_value(&args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    let workloads: Vec<&'static WorkloadSpec> = if args.iter().any(|a| a == "--all") {
+    let iters = args.iters.unwrap_or(3);
+    let workloads: Vec<&'static WorkloadSpec> = if args.all {
         ALL.iter().collect()
     } else {
         ["stencil-default", "histo-large", "mxm-linpack"]

@@ -15,7 +15,8 @@
 //! metric against the latest run. `check` exits non-zero when a hard-gated
 //! wall-clock metric (see `perf_history::HARD_METRICS`) regresses beyond
 //! `k` stddevs of its prior runs, or when an absolute gate on the latest
-//! record fails (`replay_speedup >= 1.0`; single-worker
+//! record fails (`replay_speedup >= 1.0`; streamed
+//! `stream_throughput_ratio >= 0.7`; single-worker
 //! `engine_warm_seconds <= 1.02 x serial_seconds`; cached sweep
 //! `engine_warm_seconds / engine_cached_seconds >= 3.0`; served
 //! `server_overhead_ratio` at most `perf_history::SERVER_OVERHEAD_CEILING`
