@@ -16,10 +16,12 @@
 //! The crate provides:
 //!
 //! * [`CbwsVec`] / [`Differential`] — the formal objects;
-//! * [`CbwsPredictor`] — the hardware model of Fig. 8: current-CBWS buffer,
-//!   last-4-CBWS buffer, incremental multi-step differentials, history
-//!   shift registers, and the 16-entry differential history table
-//!   (Algorithm 1);
+//! * [`CbwsPredictor`] — the hardware model of Fig. 8 in fixed lanes sized
+//!   from [`CbwsConfig`]: current-CBWS buffer and last-4-CBWS buffer as one
+//!   ring, multi-step differentials formed at `BLOCK_END` (the values
+//!   Fig. 10's per-access adders accumulate), history shift registers, and
+//!   the 16-entry differential history table as a tag lane beside a stride
+//!   lane (Algorithm 1);
 //! * [`CbwsPrefetcher`] — the standalone policy (prefetch only on a history
 //!   table hit);
 //! * [`CbwsSmsPrefetcher`] — the headline CBWS+SMS hybrid that falls back

@@ -1,8 +1,10 @@
 //! Deliberately naive reference models of the CBWS schemes, checked event
-//! by event against the in-place predictor: the predictor as first written
-//! (a fresh `Differential` per step, a cloned CBWS per rotation and a
-//! returned prediction `Vec` per `BLOCK_END`), and the hybrid and
-//! multi-context prefetchers rebuilt on top of it.
+//! by event against the flat-lane predictor at random geometries: the
+//! predictor as first written (Fig. 10's per-access adders extending one
+//! `Vec` of strides per step, a fresh `Differential` per step, a cloned
+//! CBWS per rotation, history registers as queues and a returned
+//! prediction `Vec` per `BLOCK_END`), and the hybrid and multi-context
+//! prefetchers rebuilt on top of it.
 
 use crate::{
     CbwsConfig, CbwsPredictor, CbwsSmsPrefetcher, CbwsStats, CbwsVec, Differential, HybridStats,
@@ -345,13 +347,31 @@ fn events(runs: &[(u32, usize, usize, u8)], strides: &[usize]) -> Vec<Event> {
     events
 }
 
-fn config(wide: bool, prediction_depth: usize, observe_l1_hits: bool) -> CbwsConfig {
-    CbwsConfig {
-        max_vector: if wide { 16 } else { 4 },
-        prediction_depth,
-        observe_l1_hits,
-        ..CbwsConfig::default()
-    }
+/// Vector widths [`config`] draws: one line, Fig. 8's 16 and a width on
+/// either side of it, and the 64- and 256-line points.
+const WIDTHS: [usize; 5] = [1, 4, 16, 64, 256];
+
+/// A random predictor geometry: `max_step` 1–6, `history_depth` 1–4,
+/// `table_entries` 1–32, a vector width from [`WIDTHS`] and a
+/// `prediction_depth` of at most `max_step`.
+fn config() -> impl Strategy<Value = CbwsConfig> {
+    (
+        (1usize..7, 1usize..5, 1usize..33, 0usize..5),
+        0usize..6,
+        any::<bool>(),
+    )
+        .prop_map(
+            |((max_step, history_depth, table_entries, width), depth, observe_l1_hits)| {
+                CbwsConfig {
+                    max_vector: WIDTHS[width],
+                    max_step,
+                    prediction_depth: 1 + depth % max_step,
+                    history_depth,
+                    table_entries,
+                    observe_l1_hits,
+                }
+            },
+        )
 }
 
 type Runs = Vec<(u32, usize, usize, u8)>;
@@ -368,10 +388,8 @@ proptest! {
     fn predictor_matches_reference(
         runs in runs(),
         strides in proptest::collection::vec(0usize..5, 3..4),
-        wide in any::<bool>(),
-        depth in 1usize..5,
+        cfg in config(),
     ) {
-        let cfg = config(wide, depth, true);
         let mut p = CbwsPredictor::new(cfg);
         let mut reference = ReferencePredictor::new(cfg);
         let mut out = Vec::new();
@@ -405,11 +423,8 @@ proptest! {
     fn hybrid_matches_reference(
         runs in runs(),
         strides in proptest::collection::vec(0usize..5, 3..4),
-        wide in any::<bool>(),
-        depth in 1usize..5,
-        observe_l1_hits in any::<bool>(),
+        cfg in config(),
     ) {
-        let cfg = config(wide, depth, observe_l1_hits);
         let events = events(&runs, &strides);
         for policy in [SmsSuppression::Never, SmsSuppression::WhenConfident, SmsSuppression::WhenCovering] {
             let mut pf = CbwsSmsPrefetcher::with_policy(cfg, SmsConfig::default(), policy);
@@ -449,11 +464,8 @@ proptest! {
     fn multi_context_matches_reference(
         runs in runs(),
         strides in proptest::collection::vec(0usize..5, 3..4),
-        wide in any::<bool>(),
-        depth in 1usize..5,
-        observe_l1_hits in any::<bool>(),
+        cfg in config(),
     ) {
-        let cfg = config(wide, depth, observe_l1_hits);
         let events = events(&runs, &strides);
         for capacity in [1, 2] {
             let mut pf = MultiCbwsPrefetcher::new(cfg, capacity);
@@ -500,7 +512,11 @@ proptest! {
 #[test]
 fn streams_reach_prediction_overflow_and_switch_states() {
     let runs = [(0, 13, 6, 3), (1, 13, 21, 1), (0, 13, 3, 0), (2, 13, 5, 2)];
-    let mut p = CbwsPredictor::new(config(false, 4, true));
+    let mut p = CbwsPredictor::new(CbwsConfig {
+        max_vector: 4,
+        prediction_depth: 4,
+        ..CbwsConfig::default()
+    });
     let mut out = Vec::new();
     for event in events(&runs, &[3, 1, 4]) {
         match event {

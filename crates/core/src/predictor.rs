@@ -1,12 +1,11 @@
 //! The CBWS prediction hardware (paper §IV-C, §V, Algorithm 1, Fig. 8-11).
 
-use crate::vector::{self, CbwsVec, Differential};
+use crate::vector;
 use cbws_describe::{ComponentDescription, ComponentKind, Describe, MetricSpec, ParamSpec};
 use cbws_prefetchers::{PrefetchContext, Prefetcher};
 use cbws_telemetry::Telemetry;
 use cbws_trace::{BlockId, LineAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Configuration of the CBWS predictor (defaults per Fig. 8 / Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -132,106 +131,25 @@ pub(crate) fn cbws_metrics() -> Vec<MetricSpec> {
     ]
 }
 
-/// One history shift register: a BHR-like FIFO of 12-bit differential
-/// hashes (§V-A).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct HistoryShiftRegister {
-    entries: VecDeque<u16>,
-    depth: usize,
-}
+/// Table tags compared per probe step, as the lanes of one `u64`; the tag
+/// lane is padded to a whole number of groups.
+const TAG_GROUP: usize = 4;
 
-impl HistoryShiftRegister {
-    fn new(depth: usize) -> Self {
-        HistoryShiftRegister {
-            entries: VecDeque::with_capacity(depth),
-            depth,
-        }
-    }
-
-    fn shift(&mut self, hash12: u16) {
-        if self.entries.len() == self.depth {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(hash12 & 0xFFF);
-    }
-
-    /// Whether the register holds a full history (predictions before that
-    /// would index the table with mostly-empty state).
-    fn is_warm(&self) -> bool {
-        self.entries.len() == self.depth
-    }
-
-    /// Folds the register contents into a 16-bit tag, salted by the step
-    /// index so different step distances do not alias in the shared table.
-    fn tag(&self, step: usize) -> u16 {
-        let mut t: u16 = (step as u16).wrapping_mul(0x9E37);
-        for (i, &e) in self.entries.iter().enumerate() {
-            t ^= e.rotate_left((i as u32 * 5) % 16);
-        }
-        t
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// The 16-entry, fully-associative differential history table with random
-/// replacement (§V-A). Randomness comes from a deterministic xorshift so
-/// simulations are reproducible.
-#[derive(Debug, Clone)]
-struct DiffHistoryTable {
-    /// `(tag, differential)` slots; a `None` tag marks a free slot. Inserts
-    /// overwrite a slot's differential in place, reusing its allocation.
-    slots: Vec<(Option<u16>, Differential)>,
-    rng: u32,
-}
-
-impl DiffHistoryTable {
-    fn new(entries: usize) -> Self {
-        DiffHistoryTable {
-            slots: vec![(None, Differential::default()); entries],
-            rng: 0x2545_F491,
-        }
-    }
-
-    fn next_random(&mut self) -> u32 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 17;
-        x ^= x << 5;
-        self.rng = x;
-        x
-    }
-
-    fn lookup(&self, tag: u16) -> Option<&Differential> {
-        self.slots
-            .iter()
-            .find(|(t, _)| *t == Some(tag))
-            .map(|(_, d)| d)
-    }
-
-    /// Stores the differential with full-width `strides` under `tag`: in
-    /// the slot already holding `tag`, else a free slot, else a random
-    /// victim.
-    fn insert(&mut self, tag: u16, strides: &[i64]) {
-        let slot = match self
-            .slots
-            .iter()
-            .position(|(t, _)| *t == Some(tag))
-            .or_else(|| self.slots.iter().position(|(t, _)| t.is_none()))
-        {
-            Some(slot) => slot,
-            None => self.next_random() as usize % self.slots.len(),
-        };
-        let (t, diff) = &mut self.slots[slot];
-        *t = Some(tag);
-        diff.set_strides(strides.iter().copied());
-    }
-
-    fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|(t, _)| t.is_some()).count()
-    }
+/// The per-step bookkeeping: the history shift register's fill level,
+/// ring head and folded tag, and the step's table slot hint.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    /// Hashes held, up to `history_depth`.
+    len: usize,
+    /// Ring slot of the oldest hash once the register is full.
+    head: usize,
+    /// The held hashes folded into a tag, oldest first, the one `i`
+    /// positions from the oldest rotated left by `5 * i` bits: the XOR of
+    /// rotations lets a shift update it in O(1).
+    folded: u16,
+    /// The slot the step's last insert or lookup found. A steady loop's
+    /// histories, and so its tags, repeat, so this is tried before a scan.
+    slot_hint: usize,
 }
 
 /// Counters exposed by the CBWS predictor.
@@ -251,8 +169,16 @@ pub struct CbwsStats {
 }
 
 /// The CBWS prediction engine: tracks the current block's working set,
-/// maintains multi-step differentials against the last `max_step` CBWSs,
+/// forms the multi-step differentials against the last `max_step` CBWSs,
 /// and predicts future working sets at each `BLOCK_END` (Algorithm 1).
+///
+/// The state is Fig. 8's fixed register file, held in lanes sized once
+/// from [`CbwsConfig`]: a ring of `1 + max_step` line buffers (the current
+/// CBWS and its predecessors), one history shift register per step, and
+/// the differential history table as a tag lane beside a flat stride lane.
+/// Each step's differential is formed at `BLOCK_END` from the stored
+/// vectors. Its values are exactly those Fig. 10's per-access adders
+/// accumulate, because a block's predecessors cannot change while it runs.
 ///
 /// This struct is the raw hardware model; [`CbwsPrefetcher`] wraps it in the
 /// [`Prefetcher`] trait for the simulation harness.
@@ -260,18 +186,38 @@ pub struct CbwsStats {
 pub struct CbwsPredictor {
     cfg: CbwsConfig,
     current_block: Option<BlockId>,
-    curr: CbwsVec,
-    /// Incrementally-built strides against each predecessor CBWS
-    /// (`curr_diff[i]` in Algorithm 1; index 0 = 1-step).
-    curr_diffs: Vec<Vec<i64>>,
-    /// Predecessor CBWS buffers, most recent first (`last_cbws`). All
-    /// `max_step` buffers always exist; only the first `predecessors` hold
-    /// CBWSs of the current block.
-    last: VecDeque<CbwsVec>,
+    /// `1 + max_step` line buffers of `max_vector` lines, buffer-major.
+    /// Buffer `cur` is the current CBWS; the predecessor `s + 1` blocks
+    /// back (`last_cbws[s]` in Algorithm 1) is buffer `cur - 1 - s`, modulo
+    /// the ring.
+    lines: Box<[LineAddr]>,
+    /// Lines held by each buffer.
+    lens: Box<[usize]>,
+    cur: usize,
+    /// Accesses the current CBWS dropped because it was full.
+    overflowed: u64,
+    /// Predecessor buffers holding CBWSs of the current block.
     predecessors: usize,
-    /// One history shift register per step distance.
-    histories: Vec<HistoryShiftRegister>,
-    table: DiffHistoryTable,
+    /// One `history_depth`-deep shift register of 12-bit differential
+    /// hashes per step distance (§V-A), each a ring of `history_depth`
+    /// slots, step-major.
+    history: Box<[u16]>,
+    /// Each step's register bookkeeping and slot hint.
+    steps: Box<[Step]>,
+    /// The differential history table's tags (16 entries, fully
+    /// associative, random replacement). Slots fill in order and are never
+    /// freed, so the first `occupied` are the valid ones.
+    tags: Box<[u16]>,
+    occupied: usize,
+    /// Each table slot's 16-bit strides, `max_vector` per slot.
+    strides: Box<[i16]>,
+    /// Strides held by each table slot.
+    stride_lens: Box<[usize]>,
+    /// The differential being formed at `BLOCK_END`.
+    diff: Box<[i16]>,
+    /// Deterministic xorshift state for the table's random replacement, so
+    /// simulations are reproducible.
+    rng: u32,
     confident: bool,
     last_block_overflowed: bool,
     last_prediction_span: u64,
@@ -295,17 +241,21 @@ impl CbwsPredictor {
             cfg.prediction_depth >= 1 && cfg.prediction_depth <= cfg.max_step,
             "prediction_depth must be in 1..=max_step"
         );
+        let buffers = 1 + cfg.max_step;
         CbwsPredictor {
-            curr: CbwsVec::new(cfg.max_vector),
-            curr_diffs: vec![Vec::new(); cfg.max_step],
-            last: (0..cfg.max_step)
-                .map(|_| CbwsVec::new(cfg.max_vector))
-                .collect(),
+            lines: vec![LineAddr(0); buffers * cfg.max_vector].into_boxed_slice(),
+            lens: vec![0; buffers].into_boxed_slice(),
+            cur: 0,
+            overflowed: 0,
             predecessors: 0,
-            histories: (0..cfg.max_step)
-                .map(|_| HistoryShiftRegister::new(cfg.history_depth))
-                .collect(),
-            table: DiffHistoryTable::new(cfg.table_entries),
+            history: vec![0; cfg.max_step * cfg.history_depth].into_boxed_slice(),
+            steps: vec![Step::default(); cfg.max_step].into_boxed_slice(),
+            tags: vec![0; cfg.table_entries.div_ceil(TAG_GROUP) * TAG_GROUP].into_boxed_slice(),
+            occupied: 0,
+            strides: vec![0; cfg.table_entries * cfg.max_vector].into_boxed_slice(),
+            stride_lens: vec![0; cfg.table_entries].into_boxed_slice(),
+            diff: vec![0; cfg.max_vector].into_boxed_slice(),
+            rng: 0x2545_F491,
             cfg,
             current_block: None,
             confident: false,
@@ -357,7 +307,129 @@ impl CbwsPredictor {
 
     /// Current differential-table occupancy (diagnostics).
     pub fn table_occupancy(&self) -> usize {
-        self.table.occupancy()
+        self.occupied
+    }
+
+    /// The lines of ring buffer `b`.
+    fn buffer(&self, b: usize) -> &[LineAddr] {
+        let start = b * self.cfg.max_vector;
+        &self.lines[start..start + self.lens[b]]
+    }
+
+    /// The ring index of the predecessor `step + 1` blocks back.
+    fn predecessor(&self, step: usize) -> usize {
+        let b = self.cur + self.lens.len() - 1 - step;
+        if b >= self.lens.len() {
+            b - self.lens.len()
+        } else {
+            b
+        }
+    }
+
+    /// Whether step `step`'s history register is full (predictions before
+    /// that would index the table with mostly-empty state).
+    fn is_warm(&self, step: usize) -> bool {
+        self.steps[step].len == self.cfg.history_depth
+    }
+
+    /// Step `step`'s history register folded into a 16-bit tag, salted by
+    /// the step index so different step distances do not alias in the
+    /// shared table.
+    fn tag(&self, step: usize) -> u16 {
+        (step as u16).wrapping_mul(0x9E37) ^ self.steps[step].folded
+    }
+
+    /// Shifts `hash12` into step `step`'s history register, dropping the
+    /// oldest hash when it is full, and refolds the register's tag.
+    fn shift_history(&mut self, step: usize, hash12: u16) {
+        let depth = self.cfg.history_depth;
+        let hash12 = hash12 & 0xFFF;
+        let ring = &mut self.history[step * depth..(step + 1) * depth];
+        let r = &mut self.steps[step];
+        if r.len == depth {
+            // Every held hash moves one position down: drop the oldest's
+            // term and undo one position's rotation for the rest.
+            r.folded = (r.folded ^ ring[r.head]).rotate_right(5);
+            ring[r.head] = hash12;
+            r.head = if r.head + 1 == depth { 0 } else { r.head + 1 };
+        } else {
+            ring[r.len] = hash12;
+            r.len += 1;
+        }
+        r.folded ^= hash12.rotate_left((5 * (r.len as u32 - 1)) % 16);
+    }
+
+    /// The table slot holding `tag`, if any. Four tags are compared at a
+    /// time as the 16-bit lanes of one word: a lane equal to `tag` is a
+    /// zero lane of `word ^ want`, and the borrow trick flags the lowest
+    /// zero lane exactly (a borrow out of it may flag lanes above it, but
+    /// never one below), which is the first match in slot order.
+    fn lookup(&self, tag: u16) -> Option<usize> {
+        const LANES: u64 = 0x0001_0001_0001_0001;
+        let want = LANES * u64::from(tag);
+        for (q, quad) in self.tags.chunks_exact(TAG_GROUP).enumerate() {
+            if q * TAG_GROUP >= self.occupied {
+                break;
+            }
+            let word = quad.iter().rev().fold(0, |w, &t| w << 16 | u64::from(t));
+            let x = word ^ want;
+            let zero = x.wrapping_sub(LANES) & !x & LANES << 15;
+            if zero != 0 {
+                // Valid slots are a prefix, so a first match past it means
+                // no valid slot holds `tag`.
+                let slot = q * TAG_GROUP + (zero.trailing_zeros() / 16) as usize;
+                return (slot < self.occupied).then_some(slot);
+            }
+        }
+        None
+    }
+
+    /// The table slot holding step `step`'s tag `tag`, if any, trying the
+    /// step's hint first: valid tags are unique, so a valid slot holding
+    /// `tag` is the one a scan would find.
+    fn find(&mut self, step: usize, tag: u16) -> Option<usize> {
+        let hint = self.steps[step].slot_hint;
+        let slot = if hint < self.occupied && self.tags[hint] == tag {
+            Some(hint)
+        } else {
+            self.lookup(tag)
+        };
+        if let Some(slot) = slot {
+            self.steps[step].slot_hint = slot;
+        }
+        slot
+    }
+
+    /// The strides table slot `slot` holds.
+    fn slot_strides(&self, slot: usize) -> &[i16] {
+        let start = slot * self.cfg.max_vector;
+        &self.strides[start..start + self.stride_lens[slot]]
+    }
+
+    /// Stores the first `len` strides of the differential being formed
+    /// under step `step`'s tag `tag`: in the slot already holding `tag`,
+    /// else the next free slot, else a random victim.
+    fn insert(&mut self, step: usize, tag: u16, len: usize) {
+        let slot = match self.find(step, tag) {
+            Some(slot) => slot,
+            None if self.occupied < self.cfg.table_entries => {
+                self.occupied += 1;
+                self.occupied - 1
+            }
+            None => {
+                let mut x = self.rng;
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                self.rng = x;
+                x as usize % self.cfg.table_entries
+            }
+        };
+        self.tags[slot] = tag;
+        self.steps[step].slot_hint = slot;
+        let start = slot * self.cfg.max_vector;
+        self.strides[start..start + len].copy_from_slice(&self.diff[..len]);
+        self.stride_lens[slot] = len;
     }
 
     /// `BLOCK_BEGIN(id)`: clears the current-CBWS tracing (Fig. 9). A
@@ -370,40 +442,32 @@ impl CbwsPredictor {
             }
             self.current_block = Some(id);
             self.predecessors = 0;
-            for h in &mut self.histories {
-                h.clear();
-            }
+            self.steps.fill(Step::default());
             self.confident = false;
         }
-        self.curr.clear();
-        for d in &mut self.curr_diffs {
-            d.clear();
-        }
+        self.lens[self.cur] = 0;
+        self.overflowed = 0;
     }
 
     /// A committed memory access to `line` inside the current block
-    /// (Fig. 10): appends to the current CBWS and extends the multi-step
-    /// differentials with one adder per step.
+    /// (Fig. 10): appends it to the current CBWS unless already traced or
+    /// the vector is full.
     pub fn observe(&mut self, line: LineAddr) {
         if self.current_block.is_none() {
             return;
         }
-        let before = self.curr.overflowed();
-        if !self.curr.observe(line) {
-            self.stats.vector_overflows += self.curr.overflowed() - before;
+        let len = self.lens[self.cur];
+        let start = self.cur * self.cfg.max_vector;
+        if self.lines[start..start + len].contains(&line) {
             return;
         }
-        let idx = self.curr.len() - 1;
-        let predecessors = self.last.iter().take(self.predecessors);
-        for (diffs, prev) in self.curr_diffs.iter_mut().zip(predecessors) {
-            if let Some(prev_line) = prev.get(idx) {
-                // Differentials align to the shorter vector, so only
-                // extend while still contiguous with the predecessor.
-                if diffs.len() == idx {
-                    diffs.push(line.delta(prev_line));
-                }
-            }
+        if len == self.cfg.max_vector {
+            self.overflowed += 1;
+            self.stats.vector_overflows += 1;
+            return;
         }
+        self.lines[start + len] = line;
+        self.lens[self.cur] = len + 1;
     }
 
     /// `BLOCK_END(id)` (Fig. 11): trains the differential history table,
@@ -415,42 +479,52 @@ impl CbwsPredictor {
             return;
         }
         self.stats.blocks += 1;
-        self.last_block_overflowed = self.curr.overflowed() > 0;
-        self.telemetry
-            .observe("cbws.vector_len", self.curr.len() as u64);
+        self.last_block_overflowed = self.overflowed > 0;
+        let len = self.lens[self.cur];
+        self.telemetry.observe("cbws.vector_len", len as u64);
 
-        // 1-2: store each step's new differential under the *previous*
+        // 1-2: form each step's differential against its predecessor,
+        // aligned to the shorter vector, store it under the *previous*
         // history tag, then shift the history register.
-        for (step, strides) in self.curr_diffs.iter().enumerate() {
-            if strides.is_empty() {
+        for step in 0..self.predecessors {
+            let prev = self.predecessor(step);
+            let n = len.min(self.lens[prev]);
+            if n == 0 {
                 continue;
             }
-            let history = &mut self.histories[step];
-            if history.is_warm() {
-                self.table.insert(history.tag(step), strides);
+            let (curr, prev) = (self.cur * self.cfg.max_vector, prev * self.cfg.max_vector);
+            let pairs = self.lines[curr..curr + n]
+                .iter()
+                .zip(&self.lines[prev..prev + n]);
+            for (d, (&line, &prev_line)) in self.diff.iter_mut().zip(pairs) {
+                // The 16-bit truncation of Fig. 8's stride registers.
+                *d = line.delta(prev_line) as i16;
             }
-            // The 16-bit truncation `Differential` applies before hashing.
-            history.shift(vector::hash12(strides.iter().map(|&s| s as i16)));
+            if self.is_warm(step) {
+                self.insert(step, self.tag(step), n);
+            }
+            let hash = vector::hash12(self.diff[..n].iter().copied());
+            self.shift_history(step, hash);
         }
 
-        // Rotate the last-CBWSs buffer: the completed CBWS becomes the most
-        // recent predecessor, and the oldest buffer becomes the new current
-        // CBWS.
-        let oldest = self.last.pop_back().expect("max_step > 0 buffers");
-        let completed = std::mem::replace(&mut self.curr, oldest);
-        self.last.push_front(completed);
+        // Rotate the ring: the completed CBWS becomes the most recent
+        // predecessor, and the oldest buffer becomes the new current CBWS.
+        let base = self.cur;
+        self.cur = if self.cur + 1 == self.lens.len() {
+            0
+        } else {
+            self.cur + 1
+        };
         self.predecessors = (self.predecessors + 1).min(self.cfg.max_step);
 
         // 3-4: look up the updated histories and predict future CBWSs.
         let mut hit = false;
         let mut span: u64 = 0;
-        let base = self.last.front().expect("just pushed");
         for step in 0..self.cfg.prediction_depth {
-            if !self.histories[step].is_warm() {
+            if !self.is_warm(step) {
                 continue;
             }
-            let tag = self.histories[step].tag(step);
-            let lookup = self.table.lookup(tag);
+            let lookup = self.find(step, self.tag(step));
             self.telemetry.count(
                 if lookup.is_some() {
                     "cbws.table.hit"
@@ -459,17 +533,17 @@ impl CbwsPredictor {
                 },
                 1,
             );
-            if let Some(pred) = lookup {
+            if let Some(slot) = lookup {
                 hit = true;
-                span = span.max(
-                    pred.strides()
-                        .iter()
-                        .map(|s| s.unsigned_abs() as u64)
-                        .max()
-                        .unwrap_or(0),
-                );
-                if !pred.is_zero() {
-                    pred.apply(base, out);
+                let pred = self.slot_strides(slot);
+                let widest = pred.iter().map(|s| u64::from(s.unsigned_abs())).max();
+                span = span.max(widest.unwrap_or(0));
+                if pred.iter().any(|&s| s != 0) {
+                    out.extend(
+                        pred.iter()
+                            .zip(self.buffer(base))
+                            .map(|(&s, &b)| b.offset(i64::from(s))),
+                    );
                 }
             }
         }
@@ -483,10 +557,8 @@ impl CbwsPredictor {
             self.telemetry.count("cbws.prediction.miss", 1);
         }
 
-        self.curr.clear();
-        for d in &mut self.curr_diffs {
-            d.clear();
-        }
+        self.lens[self.cur] = 0;
+        self.overflowed = 0;
     }
 }
 
@@ -731,6 +803,24 @@ mod tests {
             );
         }
         assert!(p.table_occupancy() <= 16);
+    }
+
+    #[test]
+    fn free_and_padding_slots_never_match() {
+        // Free slots and the tag lane's padding hold raw zeros, which tag 0
+        // would match if the occupancy bound were not applied.
+        let mut p = CbwsPredictor::new(CbwsConfig {
+            table_entries: 3,
+            ..CbwsConfig::default()
+        });
+        assert_eq!((p.lookup(0), p.find(0, 0)), (None, None));
+        p.insert(0, 9, 1);
+        assert_eq!(
+            (p.lookup(0), p.find(1, 0), p.lookup(9)),
+            (None, None, Some(0))
+        );
+        p.insert(1, 0, 1);
+        assert_eq!((p.lookup(0), p.find(0, 0)), (Some(1), Some(1)));
     }
 
     #[test]

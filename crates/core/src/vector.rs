@@ -141,22 +141,16 @@ impl Differential {
     /// Builds a differential from full-width strides, truncating each to
     /// 16 bits as the hardware registers do.
     pub fn from_strides<I: IntoIterator<Item = i64>>(strides: I) -> Self {
-        let mut d = Differential::default();
-        d.set_strides(strides);
-        d
-    }
-
-    /// Overwrites this differential with `strides`, truncated as in
-    /// [`Differential::from_strides`], reusing its allocation.
-    pub(crate) fn set_strides<I: IntoIterator<Item = i64>>(&mut self, strides: I) {
         let mut truncated = false;
-        self.strides.clear();
-        self.strides.extend(strides.into_iter().map(|s| {
-            let t = s as i16;
-            truncated |= i64::from(t) != s;
-            t
-        }));
-        self.truncated = truncated;
+        let strides = strides
+            .into_iter()
+            .map(|s| {
+                let t = s as i16;
+                truncated |= i64::from(t) != s;
+                t
+            })
+            .collect();
+        Differential { strides, truncated }
     }
 
     /// Number of stride elements.

@@ -101,7 +101,15 @@ struct PhtEntry {
 #[derive(Debug, Clone)]
 pub struct SmsPrefetcher {
     cfg: SmsConfig,
+    /// `log2(region_bytes)` and `log2(granule_bytes)`: the region and the
+    /// in-region granule are bit fields of the address.
+    region_shift: u32,
+    granule_shift: u32,
     agt: Vec<Generation>,
+    /// A lower bound on every AGT generation's `lru`: while `stamp` is
+    /// within `idle_window` of it, no generation can be idle, and the
+    /// retirement sweep would find nothing.
+    agt_oldest: u64,
     filter: Vec<FilterEntry>,
     pht: Vec<PhtEntry>,
     stamp: u64,
@@ -141,7 +149,10 @@ impl SmsPrefetcher {
         );
         SmsPrefetcher {
             cfg,
+            region_shift: cfg.region_bytes.trailing_zeros(),
+            granule_shift: cfg.granule_bytes.trailing_zeros(),
             agt: Vec::new(),
+            agt_oldest: 0,
             filter: Vec::new(),
             pht: Vec::new(),
             stamp: 0,
@@ -154,11 +165,11 @@ impl SmsPrefetcher {
     }
 
     fn region_of(&self, addr: Addr) -> u64 {
-        addr.0 / self.cfg.region_bytes
+        addr.0 >> self.region_shift
     }
 
     fn offset_of(&self, addr: Addr) -> u32 {
-        ((addr.0 % self.cfg.region_bytes) / self.cfg.granule_bytes) as u32
+        ((addr.0 & (self.cfg.region_bytes - 1)) >> self.granule_shift) as u32
     }
 
     fn pht_key(pc: Pc, offset: u32) -> u64 {
@@ -197,6 +208,26 @@ impl SmsPrefetcher {
         }
     }
 
+    /// Ends, in AGT order, every generation idle for longer than the
+    /// window at `stamp`, and tightens the `agt_oldest` bound to the
+    /// oldest survivor (to `stamp` when none survive: every later
+    /// generation is stamped after it).
+    fn retire_idle(&mut self, stamp: u64) {
+        let idle = self.cfg.idle_window;
+        let mut oldest = stamp;
+        let mut i = 0;
+        while i < self.agt.len() {
+            if stamp.saturating_sub(self.agt[i].lru) > idle {
+                let g = self.agt.swap_remove(i);
+                self.end_generation(g);
+            } else {
+                oldest = oldest.min(self.agt[i].lru);
+                i += 1;
+            }
+        }
+        self.agt_oldest = oldest;
+    }
+
     /// Emits prefetches for every granule in `pattern` except the trigger's.
     fn stream_pattern(
         &self,
@@ -207,13 +238,13 @@ impl SmsPrefetcher {
     ) {
         let region_base_line = region * self.cfg.region_bytes / cbws_trace::LINE_BYTES;
         let gl = self.cfg.granule_lines();
-        for g in 0..self.cfg.granules() {
-            if g == trigger_offset || pattern & (1 << g) == 0 {
-                continue;
-            }
-            for l in 0..gl {
-                out.push(LineAddr(region_base_line + u64::from(g) * gl + l));
-            }
+        // Set granules in ascending order: a pattern holds no bit at or
+        // past `granules()`.
+        let mut granules = pattern & !(1 << trigger_offset);
+        while granules != 0 {
+            let g = u64::from(granules.trailing_zeros());
+            granules &= granules - 1;
+            out.extend((0..gl).map(|l| LineAddr(region_base_line + g * gl + l)));
         }
     }
 }
@@ -317,16 +348,10 @@ impl Prefetcher for SmsPrefetcher {
         let offset = self.offset_of(ctx.addr);
 
         // Retire generations idle for longer than the window (the proxy for
-        // the region's lines having been evicted).
-        let idle = self.cfg.idle_window;
-        let mut i = 0;
-        while i < self.agt.len() {
-            if stamp.saturating_sub(self.agt[i].lru) > idle {
-                let g = self.agt.swap_remove(i);
-                self.end_generation(g);
-            } else {
-                i += 1;
-            }
+        // the region's lines having been evicted). A generation's `lru` only
+        // grows, so the sweep runs only once the oldest may have aged out.
+        if stamp - self.agt_oldest > self.cfg.idle_window {
+            self.retire_idle(stamp);
         }
 
         // Active generation: accumulate.
@@ -516,5 +541,151 @@ mod tests {
         let out = touch_region(&mut pf, 0x40, 50, &[0]);
         // 15 granules x 2 lines (trigger granule skipped).
         assert_eq!(out.len(), 30);
+    }
+
+    /// The reference SMS: the prefetcher as written before the idle bound
+    /// and the address bit fields. It divides the address into region and
+    /// granule, keeps each table as one list of records matched by field,
+    /// sweeps the whole AGT for idle generations on every access that
+    /// reaches the L2, and streams a pattern by testing every granule.
+    struct ReferenceSms {
+        cfg: SmsConfig,
+        /// `(region, trigger pc, trigger offset, pattern, lru)`.
+        agt: Vec<(u64, Pc, u32, u32, u64)>,
+        /// `(region, trigger pc, trigger offset, lru)`.
+        filter: Vec<(u64, Pc, u32, u64)>,
+        /// `(key, pattern, lru)`.
+        pht: Vec<(u64, u32, u64)>,
+        stamp: u64,
+    }
+
+    impl ReferenceSms {
+        fn end_generation(&mut self, (_, pc, offset, pattern, _): (u64, Pc, u32, u32, u64)) {
+            if pattern.count_ones() < 2 {
+                return;
+            }
+            let key = (pc.0 << 6) ^ u64::from(offset);
+            self.stamp += 1;
+            if let Some(e) = self.pht.iter_mut().find(|e| e.0 == key) {
+                *e = (key, pattern, self.stamp);
+            } else if self.pht.len() < self.cfg.pht_entries {
+                self.pht.push((key, pattern, self.stamp));
+            } else if let Some(v) = self.pht.iter_mut().min_by_key(|e| e.2) {
+                *v = (key, pattern, self.stamp);
+            }
+        }
+
+        fn on_access(&mut self, ctx: &PrefetchContext, out: &mut Vec<LineAddr>) {
+            if !ctx.reached_l2() {
+                return;
+            }
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let region = ctx.addr.0 / self.cfg.region_bytes;
+            let offset = ((ctx.addr.0 % self.cfg.region_bytes) / self.cfg.granule_bytes) as u32;
+            let mut i = 0;
+            while i < self.agt.len() {
+                if stamp.saturating_sub(self.agt[i].4) > self.cfg.idle_window {
+                    let g = self.agt.swap_remove(i);
+                    self.end_generation(g);
+                } else {
+                    i += 1;
+                }
+            }
+            if let Some(g) = self.agt.iter_mut().find(|g| g.0 == region) {
+                g.3 |= 1 << offset;
+                g.4 = stamp;
+                return;
+            }
+            if let Some(pos) = self.filter.iter().position(|f| f.0 == region) {
+                let (_, pc, trigger, _) = self.filter[pos];
+                if trigger == offset {
+                    self.filter[pos].3 = stamp;
+                    return;
+                }
+                self.filter.remove(pos);
+                if self.agt.len() >= self.cfg.agt_entries {
+                    let (victim, _) = self
+                        .agt
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, g)| g.4)
+                        .unwrap();
+                    let g = self.agt.swap_remove(victim);
+                    self.end_generation(g);
+                }
+                self.agt
+                    .push((region, pc, trigger, (1 << trigger) | (1 << offset), stamp));
+                return;
+            }
+            let key = (ctx.pc.0 << 6) ^ u64::from(offset);
+            if let Some(&(_, pattern, _)) = self.pht.iter().find(|e| e.0 == key) {
+                let region_base_line = region * self.cfg.region_bytes / cbws_trace::LINE_BYTES;
+                let gl = self.cfg.granule_lines();
+                for g in 0..self.cfg.granules() {
+                    if g != offset && pattern & (1 << g) != 0 {
+                        for l in 0..gl {
+                            out.push(LineAddr(region_base_line + u64::from(g) * gl + l));
+                        }
+                    }
+                }
+            }
+            let entry = (region, ctx.pc, offset, stamp);
+            if self.filter.len() < self.cfg.filter_entries {
+                self.filter.push(entry);
+            } else if let Some(v) = self.filter.iter_mut().min_by_key(|f| f.3) {
+                *v = entry;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The idle bound skips only sweeps that would retire nothing:
+        /// call for call, the same candidates as the every-access sweep.
+        /// Small tables and a short idle window make idle retirements,
+        /// AGT evictions and PHT replacements interleave; regions of 1–4
+        /// KB cut into 2–32 granules check the address bit fields.
+        fn idle_bound_matches_every_access_sweep(
+            tables in (1usize..9, 1usize..9, 1usize..17, 1u64..40),
+            shape in (10u32..13, 1u32..6),
+            accesses in proptest::collection::vec((0u64..24, 0u64..4096, 0u64..6, 0u8..4), 0..600),
+        ) {
+            let (agt_entries, filter_entries, pht_entries, idle_window) = tables;
+            let cfg = SmsConfig {
+                region_bytes: 1 << shape.0,
+                granule_bytes: 1 << (shape.0 - shape.1).max(6),
+                agt_entries,
+                filter_entries,
+                pht_entries,
+                idle_window,
+            };
+            let mut pf = SmsPrefetcher::new(cfg);
+            let mut reference = ReferenceSms {
+                cfg,
+                agt: Vec::new(),
+                filter: Vec::new(),
+                pht: Vec::new(),
+                stamp: 0,
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (n, &(region, byte, pc, kind)) in accesses.iter().enumerate() {
+                let mut ctx = miss(pc, region * 4096 + byte);
+                // One access in four hits the L1 and never reaches SMS.
+                ctx.l1_hit = kind == 0;
+                got.clear();
+                want.clear();
+                pf.on_access(&ctx, &mut got);
+                reference.on_access(&ctx, &mut want);
+                proptest::prop_assert_eq!(&got, &want, "access {}", n);
+            }
+            // The same regions tracked, in the same order, by both tables.
+            let agt: Vec<u64> = pf.agt.iter().map(|g| g.region).collect();
+            let want: Vec<u64> = reference.agt.iter().map(|g| g.0).collect();
+            proptest::prop_assert_eq!(agt, want);
+            let filter: Vec<u64> = pf.filter.iter().map(|f| f.region).collect();
+            let want: Vec<u64> = reference.filter.iter().map(|f| f.0).collect();
+            proptest::prop_assert_eq!(filter, want);
+            proptest::prop_assert_eq!(pf.pht.len(), reference.pht.len());
+        }
     }
 }

@@ -77,7 +77,9 @@ pub struct Cache {
     /// One state word per way, parallel to `tags`: the way's LRU stamp
     /// shifted above the `DIRTY`, `PREFETCHED` and `REFERENCED` flags. A
     /// hit reads and rewrites this single word; only a victim search scans
-    /// the set's words.
+    /// the set's words. A free way's word is 0, below every valid way's
+    /// (stamps start at 1), so that search is one pass that finds a free
+    /// way if the set has one and its LRU way if not.
     state: Box<[u32]>,
     /// Fill cycle of each way's prefetch, parallel to `tags`. Present only
     /// while fill times are kept: the prefetch-to-use telemetry histogram
@@ -91,9 +93,10 @@ pub struct Cache {
     resident: usize,
 }
 
-/// Replaces each way's stamp by its LRU rank within its set (1 = least
-/// recently used; equal stamps keep way order), keeping every flag, and
-/// returns `assoc`, the stamp above every rank.
+/// Replaces each valid way's stamp by its LRU rank within its set (equal
+/// stamps keep way order), keeping every flag, and returns `assoc`, the
+/// stamp above every rank. Free ways sort first and keep their zero word,
+/// so every valid way's rank stays at least 1.
 ///
 /// A free function over the state lane alone, kept out of line: as a
 /// `&mut self` method, its never-taken call slowed the inlined hit path in
@@ -108,10 +111,21 @@ fn rerank(state: &mut [u32], assoc: usize) -> u32 {
         order.extend(0..set.len());
         order.sort_by_key(|&i| set[i] >> FLAG_BITS);
         for (rank, &i) in order.iter().enumerate() {
-            set[i] = (rank as u32 + 1) << FLAG_BITS | set[i] & FLAGS;
+            if set[i] != 0 {
+                set[i] = (rank as u32 + 1) << FLAG_BITS | set[i] & FLAGS;
+            }
         }
     }
     assoc as u32
+}
+
+/// The flag bits of a line filled with `dirty` and `prefetch` state.
+#[inline]
+fn fill_flags(dirty: bool, prefetch: Option<PrefetchMeta>) -> u32 {
+    dirty_flag(dirty)
+        | prefetch.map_or(0, |m| {
+            PREFETCHED | if m.referenced { REFERENCED } else { 0 }
+        })
 }
 
 /// Packed tag of a resident `line` (see `Cache::tags`).
@@ -120,8 +134,7 @@ fn valid_tag(line: LineAddr) -> u64 {
     (line.0 << 1) | 1
 }
 
-/// Scan of a set's contiguous tag lane for `want` (a packed valid tag, or
-/// `0` to find a free way).
+/// Scan of a set's contiguous tag lane for the packed valid tag `want`.
 #[inline]
 fn scan_tags(tags: &[u64], want: u64) -> Option<usize> {
     tags.iter().position(|&t| t == want)
@@ -267,11 +280,7 @@ impl Cache {
         prefetch: Option<PrefetchMeta>,
     ) -> Option<EvictedLine> {
         let stamp = self.next_stamp();
-        let flags = dirty_flag(dirty)
-            | prefetch.map_or(0, |m| {
-                PREFETCHED | if m.referenced { REFERENCED } else { 0 }
-            });
-
+        let flags = fill_flags(dirty, prefetch);
         if let Some(i) = self.find(line) {
             let w = self.state[i];
             let kept = if prefetch.is_some() {
@@ -283,20 +292,41 @@ impl Cache {
             self.set_fill_time(i, prefetch);
             return None;
         }
+        self.install(line, stamp, flags, prefetch)
+    }
 
+    /// [`Cache::insert`] of a line the caller has just missed on, without
+    /// the residency scan of the set's tag lane.
+    pub(crate) fn insert_absent(
+        &mut self,
+        line: LineAddr,
+        dirty: bool,
+        prefetch: Option<PrefetchMeta>,
+    ) -> Option<EvictedLine> {
+        debug_assert!(!self.probe(line), "insert_absent of resident {line:?}");
+        let stamp = self.next_stamp();
+        self.install(line, stamp, fill_flags(dirty, prefetch), prefetch)
+    }
+
+    /// Installs the absent `line` with state word `stamp | flags` in the
+    /// first free way of its set, or else in place of the set's LRU way,
+    /// returning what that way held.
+    fn install(
+        &mut self,
+        line: LineAddr,
+        stamp: u32,
+        flags: u32,
+        prefetch: Option<PrefetchMeta>,
+    ) -> Option<EvictedLine> {
         let start = self.set_offset(line);
-        // Prefer a free way; otherwise evict the set's LRU way (first of
-        // the minima, matching way order).
-        let victim = match scan_tags(&self.tags[start..start + self.assoc], 0) {
-            Some(i) => start + i,
-            None => {
-                let set = &self.state[start..start + self.assoc];
-                start
-                    + (0..self.assoc)
-                        .min_by_key(|&i| set[i] >> FLAG_BITS)
-                        .expect("assoc > 0")
+        let mut victim = start;
+        let mut oldest = u32::MAX;
+        for (i, &w) in self.state[start..start + self.assoc].iter().enumerate() {
+            if w >> FLAG_BITS < oldest {
+                oldest = w >> FLAG_BITS;
+                victim = start + i;
             }
-        };
+        }
 
         let victim_tag = self.tags[victim];
         let evicted = (victim_tag != 0).then(|| self.evicted(victim, LineAddr(victim_tag >> 1)));
@@ -331,9 +361,11 @@ impl Cache {
     /// back-invalidation of the L1).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let i = self.find(line)?;
+        let evicted = self.evicted(i, line);
         self.tags[i] = 0;
+        self.state[i] = 0;
         self.resident -= 1;
-        Some(self.evicted(i, line))
+        Some(evicted)
     }
 
     /// Iterates over all resident lines (order unspecified). Used at the end

@@ -144,6 +144,8 @@ enum Op {
     Touch(u64, bool),
     DemandTouch(u64, bool),
     Insert(u64, bool, Option<(u64, bool)>),
+    /// `insert_absent` when the line is absent, else `insert`.
+    InsertAbsent(u64, bool, Option<(u64, bool)>),
     Invalidate(u64),
     Probe(u64),
     ProbeBatch(Vec<u64>),
@@ -159,6 +161,8 @@ fn op() -> impl Strategy<Value = Op> {
         (l.clone(), any::<bool>()).prop_map(|(l, d)| Op::Insert(l, d, None)),
         (l.clone(), any::<bool>(), 0u64..1_000_000, any::<bool>())
             .prop_map(|(l, d, f, r)| Op::Insert(l, d, Some((f, r)))),
+        (l.clone(), any::<bool>(), 0u64..1_000_000, any::<bool>())
+            .prop_map(|(l, d, f, r)| { Op::InsertAbsent(l, d, (f % 2 == 0).then_some((f, r))) }),
         l.clone().prop_map(Op::Invalidate),
         l.clone().prop_map(Op::Probe),
         proptest::collection::vec(l, 0..65).prop_map(Op::ProbeBatch),
@@ -172,6 +176,7 @@ fn fold(op: Op, lines: u64) -> Op {
         Op::Touch(l, s) => Op::Touch(l % lines, s),
         Op::DemandTouch(l, s) => Op::DemandTouch(l % lines, s),
         Op::Insert(l, d, m) => Op::Insert(l % lines, d, m),
+        Op::InsertAbsent(l, d, m) => Op::InsertAbsent(l % lines, d, m),
         Op::Invalidate(l) => Op::Invalidate(l % lines),
         Op::Probe(l) => Op::Probe(l % lines),
         Op::ProbeBatch(ls) => Op::ProbeBatch(ls.into_iter().map(|l| l % lines).collect()),
@@ -226,6 +231,20 @@ proptest! {
                         packed.insert(LineAddr(l), d, meta),
                         seen_evicted(reference.insert(LineAddr(l), d, meta)),
                         "insert at step {}", step
+                    );
+                }
+                Op::InsertAbsent(l, d, meta) => {
+                    let meta = meta.map(|(fill_time, referenced)| PrefetchMeta { fill_time, referenced });
+                    let line = LineAddr(l);
+                    let got = if reference.probe(line) {
+                        packed.insert(line, d, meta)
+                    } else {
+                        packed.insert_absent(line, d, meta)
+                    };
+                    prop_assert_eq!(
+                        got,
+                        seen_evicted(reference.insert(line, d, meta)),
+                        "insert_absent at step {}", step
                     );
                 }
                 Op::Invalidate(l) => prop_assert_eq!(

@@ -1,6 +1,6 @@
 //! The two-level, inclusive memory hierarchy with prefetch-into-L2.
 
-use crate::cache::{Cache, PrefetchMeta};
+use crate::cache::{Cache, EvictedLine, PrefetchMeta};
 use crate::config::HierarchyConfig;
 use crate::dram::MainMemory;
 use crate::stats::MemStats;
@@ -52,6 +52,17 @@ struct InFlightPrefetch {
     demand_hit: bool,
 }
 
+/// Buckets of the pending-line filter: 512 at 4 bytes. The Table II
+/// hierarchy has at most 64 queued plus 28 in-flight lines pending.
+const PENDING_BUCKETS: usize = 512;
+
+/// The pending-line filter bucket of `line`: the top bits of a
+/// multiplicative hash, so strided candidate streams spread.
+#[inline]
+fn pending_bucket(line: LineAddr) -> usize {
+    (line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - PENDING_BUCKETS.trailing_zeros())) as usize
+}
+
 /// The simulated memory hierarchy: L1D + inclusive L2 + flat-latency memory,
 /// with a prefetch engine that fills into the L2.
 ///
@@ -66,6 +77,14 @@ pub struct MemoryHierarchy {
     memory: MainMemory,
     queue: VecDeque<QueuedPrefetch>,
     inflight: Vec<InFlightPrefetch>,
+    /// The earliest `fill_time` in `inflight` (`u64::MAX` when empty), so
+    /// that `advance` tells that no fill is due with one compare.
+    next_fill: u64,
+    /// A counting filter over the lines pending in `queue` or `inflight`
+    /// (the two are disjoint): `pending[pending_bucket(l)]` counts those
+    /// in `l`'s bucket. A zero count proves `l` is in neither list, so the
+    /// enqueue dedup and the demand supersede skip both scans.
+    pending: Box<[u32]>,
     stats: MemStats,
     telemetry: Telemetry,
 }
@@ -80,6 +99,8 @@ impl MemoryHierarchy {
             cfg,
             queue: VecDeque::new(),
             inflight: Vec::new(),
+            next_fill: u64::MAX,
+            pending: vec![0; PENDING_BUCKETS].into_boxed_slice(),
             stats: MemStats::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -158,6 +179,7 @@ impl MemoryHierarchy {
         self.advance(now);
         let resident = self.l2.probe(line);
         self.enqueue_prefetch_resolved(now, line, resident);
+        self.debug_check();
     }
 
     /// Requests prefetches for a whole candidate batch at cycle `now`.
@@ -171,10 +193,17 @@ impl MemoryHierarchy {
     /// first candidate is examined. Queue and in-flight dedup stay
     /// per-line because earlier candidates of the same batch enter the
     /// queue as it drains.
+    #[inline]
     pub fn enqueue_prefetch_batch(&mut self, now: u64, lines: &[LineAddr]) {
-        if lines.is_empty() {
-            return;
+        // Most accesses yield no candidate: keep that case a branch in the
+        // caller rather than a call.
+        if !lines.is_empty() {
+            self.enqueue_candidates(now, lines);
         }
+    }
+
+    /// [`MemoryHierarchy::enqueue_prefetch_batch`] of a non-empty batch.
+    fn enqueue_candidates(&mut self, now: u64, lines: &[LineAddr]) {
         self.advance(now);
         for chunk in lines.chunks(64) {
             let resident = self.l2.probe_batch(chunk);
@@ -182,20 +211,24 @@ impl MemoryHierarchy {
                 self.enqueue_prefetch_resolved(now, line, resident >> i & 1 == 1);
             }
         }
+        self.debug_check();
     }
 
     /// Shared tail of the enqueue paths, with the L2 probe already done.
     fn enqueue_prefetch_resolved(&mut self, now: u64, line: LineAddr, l2_resident: bool) {
         let covered = l2_resident
-            || self.inflight.iter().any(|p| p.line == line)
-            || self.queue.iter().any(|q| q.line == line);
+            || self.maybe_pending(line)
+                && (self.inflight.iter().any(|p| p.line == line)
+                    || self.queue.iter().any(|q| q.line == line));
         if covered {
             self.stats.prefetch_dedup_dropped += 1;
             self.telemetry.count("l2.prefetch.dropped.duplicate", 1);
             return;
         }
         if self.queue.len() >= self.cfg.prefetch_queue_capacity {
-            self.queue.pop_front();
+            if let Some(q) = self.queue.pop_front() {
+                self.unmark_pending(q.line);
+            }
             self.stats.prefetch_overflow_dropped += 1;
             self.telemetry.count("l2.prefetch.dropped.overflow", 1);
         }
@@ -203,6 +236,7 @@ impl MemoryHierarchy {
             line,
             enqueue_time: now,
         });
+        self.mark_pending(line);
         self.stats.prefetch_enqueued += 1;
         self.telemetry.count("l2.prefetch.enqueued", 1);
     }
@@ -255,11 +289,19 @@ impl MemoryHierarchy {
             };
         }
 
+        // Past here the line is in neither cache, so both fills below skip
+        // the residency scan. The queue and the in-flight list can hold it
+        // only if its pending bucket is occupied.
+        let pending = self.maybe_pending(line);
+
         // In-flight prefetch: the demand piggybacks on the outstanding
         // fill. The line is installed now (inclusion with the L1 fill
         // below; the full residual latency is charged to this access) while
         // the MSHR slot stays occupied until the fill's completion time.
-        if let Some(p) = self.inflight.iter_mut().find(|p| p.line == line) {
+        let inflight = pending
+            .then(|| self.inflight.iter_mut().find(|p| p.line == line))
+            .flatten();
+        if let Some(p) = inflight {
             p.demand_hit = true;
             let meta = PrefetchMeta {
                 fill_time: p.fill_time,
@@ -267,7 +309,8 @@ impl MemoryHierarchy {
             };
             let remaining = p.fill_time.saturating_sub(l2_time);
             self.stats.shorter_waiting_time += 1;
-            self.fill_l2(line, Some(meta));
+            let victim = self.l2.insert_absent(line, false, Some(meta));
+            self.evicted_from_l2(victim, true);
             self.fill_l1(line, store);
             let latency = self.cfg.l2_hit_latency() + remaining;
             self.note_demand(Some(DemandClass::ShorterWaitingTime), latency);
@@ -280,8 +323,13 @@ impl MemoryHierarchy {
 
         // Queued but never issued: the prefetcher identified the line but
         // was too late. The demand fetch supersedes the queued request.
-        let class = if let Some(pos) = self.queue.iter().position(|q| q.line == line) {
+        let queued = pending
+            .then(|| self.queue.iter().position(|q| q.line == line))
+            .flatten();
+        let class = if let Some(pos) = queued {
             self.queue.remove(pos);
+            self.unmark_pending(line);
+            self.debug_check();
             self.stats.non_timely += 1;
             DemandClass::NonTimely
         } else {
@@ -291,7 +339,8 @@ impl MemoryHierarchy {
 
         let request_time = l2_time + self.cfg.l2.latency;
         let completion = self.memory.access(request_time, line);
-        self.fill_l2(line, None);
+        let victim = self.l2.insert_absent(line, false, None);
+        self.evicted_from_l2(victim, false);
         self.stats.demand_fills += 1;
         self.fill_l1(line, store);
         let latency = self.cfg.l2_hit_latency() + (completion - request_time);
@@ -305,6 +354,7 @@ impl MemoryHierarchy {
 
     /// Counts one classified demand access (`None`: an L1 hit) and samples
     /// the latency of every access that reached the L2.
+    #[inline]
     fn note_demand(&self, class: Option<DemandClass>, latency: u64) {
         if !self.telemetry.is_enabled() {
             return;
@@ -318,45 +368,60 @@ impl MemoryHierarchy {
     /// Completes in-flight prefetch fills due by `now` and issues queued
     /// prefetches into freed MSHR slots. A request that had to wait for a
     /// slot is issued at the completion time of the fill that freed it.
+    #[inline]
     pub fn advance(&mut self, now: u64) {
         // Fast path for the overwhelmingly common call where nothing can
         // happen: no queued request can issue (queue empty or every MSHR
-        // slot busy) and no in-flight fill is due yet. The loop below would
+        // slot busy) and no in-flight fill is due yet. The full pass would
         // conclude the same after strictly more work; `advance` runs on
-        // every demand access, so the no-op case must stay cheap.
+        // every demand access, so the no-op case stays an inlined compare.
         if (self.queue.is_empty() || self.inflight.len() >= self.cfg.prefetch_mshrs())
-            && !self.inflight.iter().any(|p| p.fill_time <= now)
+            && self.next_fill > now
         {
             return;
         }
+        self.complete_and_issue(now);
+    }
+
+    /// [`MemoryHierarchy::advance`] past its no-op check.
+    fn complete_and_issue(&mut self, now: u64) {
         loop {
             // Fill any free slots; these requests never waited, so they
             // issue at their enqueue times.
             while self.inflight.len() < self.cfg.prefetch_mshrs() && self.issue_one(0) {}
-            // Complete the earliest due fill, freeing an MSHR slot.
-            let due = self
+            // Complete the earliest due fill (the first of equals), freeing
+            // an MSHR slot.
+            if self.next_fill > now {
+                break;
+            }
+            let due = self.next_fill;
+            let i = self
                 .inflight
                 .iter()
-                .enumerate()
-                .filter(|(_, p)| p.fill_time <= now)
-                .min_by_key(|(_, p)| p.fill_time)
-                .map(|(i, _)| i);
-            match due {
-                Some(i) => {
-                    let p = self.inflight.swap_remove(i);
-                    let meta = PrefetchMeta {
-                        fill_time: p.fill_time,
-                        referenced: p.demand_hit,
-                    };
-                    self.fill_l2(p.line, Some(meta));
-                    self.stats.prefetch_fills += 1;
-                    self.telemetry.count("l2.prefetch.fills", 1);
-                    // The freed slot becomes usable at the fill time.
-                    self.issue_one(p.fill_time);
-                }
-                None => break,
-            }
+                .position(|p| p.fill_time == due)
+                .expect("next_fill is an in-flight fill time");
+            let p = self.inflight.swap_remove(i);
+            self.next_fill = self
+                .inflight
+                .iter()
+                .map(|p| p.fill_time)
+                .min()
+                .unwrap_or(u64::MAX);
+            self.unmark_pending(p.line);
+            let meta = PrefetchMeta {
+                fill_time: p.fill_time,
+                referenced: p.demand_hit,
+            };
+            // A demand may have installed the line while it was in flight,
+            // so this fill checks residency.
+            let victim = self.l2.insert(p.line, false, Some(meta));
+            self.evicted_from_l2(victim, true);
+            self.stats.prefetch_fills += 1;
+            self.telemetry.count("l2.prefetch.fills", 1);
+            // The freed slot becomes usable at the fill time.
+            self.issue_one(p.fill_time);
         }
+        self.debug_check();
     }
 
     /// Finalizes the run at cycle `now`: lands all in-flight prefetches and
@@ -371,7 +436,9 @@ impl MemoryHierarchy {
             self.telemetry
                 .count("l2.prefetch.dropped.unissued", self.queue.len() as u64);
         }
-        self.queue.clear();
+        for q in std::mem::take(&mut self.queue) {
+            self.unmark_pending(q.line);
+        }
         while let Some(h) = self.inflight.iter().map(|p| p.fill_time).max() {
             self.advance(h + 1);
         }
@@ -384,10 +451,11 @@ impl MemoryHierarchy {
         self.stats
     }
 
-    /// Installs `line` into the L1, handling L1 victim write-back into the
-    /// L2 (which must hold the line, by inclusion).
+    /// Installs `line`, which the L1 has just missed, into the L1, handling
+    /// L1 victim write-back into the L2 (which must hold the line, by
+    /// inclusion).
     fn fill_l1(&mut self, line: LineAddr, store: bool) {
-        if let Some(victim) = self.l1d.insert(line, store, None) {
+        if let Some(victim) = self.l1d.insert_absent(line, store, None) {
             self.telemetry.count("l1d.evictions", 1);
             if victim.dirty {
                 // Write-back to L2. By inclusion the victim is resident in
@@ -400,16 +468,17 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Installs `line` into the L2, maintaining inclusion and wrong-prefetch
-    /// / pollution accounting for the victim.
-    fn fill_l2(&mut self, line: LineAddr, meta: Option<PrefetchMeta>) {
-        if let Some(victim) = self.l2.insert(line, false, meta) {
+    /// Accounts for the L2 `victim` of a fill (`prefetched`: one that
+    /// installs prefetch state), maintaining inclusion and wrong-prefetch /
+    /// pollution accounting.
+    fn evicted_from_l2(&mut self, victim: Option<EvictedLine>, prefetched: bool) {
+        if let Some(victim) = victim {
             self.telemetry.count("l2.evictions", 1);
             if victim.prefetch.is_some_and(|m| !m.referenced) {
                 self.stats.wrong += 1;
                 self.telemetry.count("l2.prefetch.wrong", 1);
             }
-            if meta.is_some() && victim.prefetch.is_none() {
+            if prefetched && victim.prefetch.is_none() {
                 self.stats.pollution_evictions += 1;
                 self.telemetry.count("l2.prefetch.pollution_evictions", 1);
             }
@@ -428,7 +497,10 @@ impl MemoryHierarchy {
     /// `max(enqueue_time, slot_free_time)`. Returns whether one was issued.
     fn issue_one(&mut self, slot_free_time: u64) -> bool {
         while let Some(q) = self.queue.pop_front() {
-            if self.l2.probe(q.line) || self.inflight.iter().any(|p| p.line == q.line) {
+            self.unmark_pending(q.line);
+            if self.l2.probe(q.line)
+                || self.maybe_pending(q.line) && self.inflight.iter().any(|p| p.line == q.line)
+            {
                 self.stats.prefetch_dedup_dropped += 1;
                 self.telemetry.count("l2.prefetch.dropped.duplicate", 1);
                 continue;
@@ -440,11 +512,60 @@ impl MemoryHierarchy {
                 fill_time,
                 demand_hit: false,
             });
+            self.mark_pending(q.line);
+            self.next_fill = self.next_fill.min(fill_time);
             self.stats.prefetch_issued += 1;
             self.telemetry.count("l2.prefetch.issued", 1);
             return true;
         }
         false
+    }
+
+    /// Whether `line` may be queued or in flight: `false` proves it is in
+    /// neither list.
+    #[inline]
+    fn maybe_pending(&self, line: LineAddr) -> bool {
+        self.pending[pending_bucket(line)] != 0
+    }
+
+    /// Counts `line` into the pending filter as it joins the queue or the
+    /// in-flight list.
+    #[inline]
+    fn mark_pending(&mut self, line: LineAddr) {
+        self.pending[pending_bucket(line)] += 1;
+    }
+
+    /// Counts `line` out of the pending filter as it leaves the queue or
+    /// the in-flight list.
+    #[inline]
+    fn unmark_pending(&mut self, line: LineAddr) {
+        self.pending[pending_bucket(line)] -= 1;
+    }
+
+    /// Checks, in debug builds, the bookkeeping the fast paths trust: the
+    /// pending filter counts exactly the queued and in-flight lines,
+    /// `next_fill` is the earliest in-flight fill time, and no more fills
+    /// are in flight than prefetch MSHRs exist.
+    fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut counts = vec![0u32; PENDING_BUCKETS];
+        let queued = self.queue.iter().map(|q| q.line);
+        for line in queued.chain(self.inflight.iter().map(|p| p.line)) {
+            counts[pending_bucket(line)] += 1;
+        }
+        assert_eq!(*counts, *self.pending, "pending filter out of step");
+        let earliest = self.inflight.iter().map(|p| p.fill_time).min();
+        assert_eq!(
+            self.next_fill,
+            earliest.unwrap_or(u64::MAX),
+            "stale next_fill"
+        );
+        assert!(
+            self.inflight.len() <= self.cfg.prefetch_mshrs(),
+            "more fills in flight than prefetch MSHRs"
+        );
     }
 }
 

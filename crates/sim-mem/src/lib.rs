@@ -39,6 +39,8 @@ mod cache_oracle;
 mod config;
 mod dram;
 mod hierarchy;
+#[cfg(test)]
+mod hierarchy_oracle;
 mod stats;
 
 pub use cache::{Cache, EvictedLine, PrefetchMeta};
